@@ -159,8 +159,7 @@ def cmd_synth(args) -> int:
 
 def _bench_one(payload) -> tuple[str, str, float, float]:
     """One (sequence, regime) cell: mean error and mean runtime over repeats."""
-    path, dim, projection, repeats, root_seed, c, max_iterations = payload
-    record = load_sequence(path)
+    record, dim, projection, repeats, root_seed, c, max_iterations = payload
     truth = record.truth_labels
     errors = []
     elapsed = []
@@ -201,7 +200,7 @@ def cmd_bench(args) -> int:
         return EXIT_INTERNAL
 
     regimes = [_parse_regime(r) for r in (args.regimes or DEFAULT_REGIMES)]
-    sequences: list[tuple[Path, SequenceRecord]] = []
+    sequences: list[SequenceRecord] = []
     for path in paths:
         try:
             record = load_sequence(path)
@@ -211,14 +210,14 @@ def cmd_bench(args) -> int:
         if record.truth_labels is None:
             _log(f"warning: skipping {path.name}: no ground-truth labels")
             continue
-        sequences.append((path, record))
+        sequences.append(record)
     if not sequences:
         _log("error: no labeled sequences to benchmark")
         return EXIT_INTERNAL
 
     tasks = [
-        (str(path), dim, proj, args.repeats, args.seed, args.c, args.max_iterations)
-        for path, _ in sequences
+        (record, dim, proj, args.repeats, args.seed, args.c, args.max_iterations)
+        for record in sequences
         for dim, proj in regimes
     ]
     workers = _worker_count(args)
@@ -230,7 +229,7 @@ def cmd_bench(args) -> int:
 
     by_method: dict[str, list[EvalRecord]] = {}
     runtimes: dict[tuple[str, str], float] = {}
-    meta = {(rec.sequence_id): rec for _, rec in sequences}
+    meta = {rec.sequence_id: rec for rec in sequences}
     for seq_id, method, mean_error, mean_time in outcomes:
         record = meta[seq_id]
         by_method.setdefault(method, []).append(

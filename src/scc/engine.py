@@ -2,8 +2,8 @@
 
 One run proceeds as: optionally project the data (PCA), draw c random
 (d+1)-subsets, score every (point, subset) tuple by squared polar curvature,
-sweep d+1 candidate bandwidths taken from order statistics of the sorted
-curvatures, spectrally cluster each candidate's weights, keep the partition
+sweep d+1 candidate bandwidths taken from order statistics of the
+curvatures, spectrally cluster each candidate's affinity, keep the partition
 of smallest total OLS error, then redraw the subsets from within the current
 clusters and repeat until the best error stops improving.
 """
@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import seeding
-from .curvature import affinity_from_curvatures, curvature_matrix, pairwise_weights
+from .curvature import affinity_from_curvatures, curvature_matrix
 from .geometry import (
     AffineSubspace,
     Partition,
@@ -25,7 +25,11 @@ from .geometry import (
     project_pca,
     total_ols_error,
 )
-from .spectral import DENSE_EIG_THRESHOLD, spectral_cluster, spectral_cluster_factored
+from .spectral import spectral_cluster_factored
+
+# Unused here; kept as engine attributes because perfbench/tracing.py wraps them by name.
+from .curvature import pairwise_weights  # noqa: F401
+from .spectral import spectral_cluster  # noqa: F401
 
 __all__ = [
     "PROJECTION_REGIMES",
@@ -72,7 +76,6 @@ class SccConfig:
     patience: int = 3
     seed: int = 0
     projection: str = "ambient"
-    dense_eig_threshold: int = DENSE_EIG_THRESHOLD
 
     def __post_init__(self):
         if self.subspace_dim < 1:
@@ -148,7 +151,7 @@ def sample_initial(
 
 
 def sigma_candidates(
-    sorted_sq_curvatures,
+    sq_curvatures,
     n_points: int,
     subspace_dim: int,
     n_sets: int,
@@ -156,23 +159,24 @@ def sigma_candidates(
 ) -> list[float]:
     """The d+1 bandwidth candidates sigma^2, one per q = 1..d+1.
 
-    Candidate q is the entry of the ascending curvature vector at 1-based
-    position round((N-d-1)*c / K^q) (round half up, clamped to the valid
-    range); it is used directly as sigma^2.
+    Candidate q is the order statistic of the curvature vector (its entry
+    in ascending order; the input need not be sorted) at 1-based position
+    round((N-d-1)*c / K^q) (round half up, clamped to the valid range); it
+    is used directly as sigma^2.
     """
-    vec = np.asarray(sorted_sq_curvatures, dtype=np.float64)
+    vec = np.asarray(sq_curvatures, dtype=np.float64)
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError("curvature vector must be a nonempty 1-D array")
     expected = (n_points - subspace_dim - 1) * n_sets
     if vec.size != expected:
         raise ValueError(f"curvature vector has length {vec.size}, expected {expected}")
     length = vec.size
-    out = []
-    for q in range(1, subspace_dim + 2):
-        pos = math.floor(length / n_clusters**q + 0.5)
-        pos = min(max(pos, 1), length)
-        out.append(float(vec[pos - 1]))
-    return out
+    indices = [
+        min(max(math.floor(length / n_clusters**q + 0.5), 1), length) - 1
+        for q in range(1, subspace_dim + 2)
+    ]
+    ordered = np.partition(vec, indices)
+    return [float(ordered[i]) for i in indices]
 
 
 def resample_within(
@@ -211,10 +215,10 @@ def resample_within(
     return sets
 
 
-def _positive_floor(sorted_vec: np.ndarray) -> float:
+def _positive_floor(curv: np.ndarray) -> float:
     """Smallest positive finite curvature, used when a candidate sigma^2 is zero."""
-    positive = sorted_vec[(sorted_vec > 0.0) & np.isfinite(sorted_vec)]
-    return float(positive[0]) if positive.size else 1.0
+    floor = float(np.min(curv, where=(curv > 0.0) & np.isfinite(curv), initial=np.inf))
+    return floor if np.isfinite(floor) else 1.0
 
 
 def sweep_and_cluster(
@@ -232,9 +236,8 @@ def sweep_and_cluster(
     k = config.n_clusters
 
     curv, member = curvature_matrix(X, sample_sets)
-    sorted_vec = np.sort(curv[~member])
-    candidates = sigma_candidates(sorted_vec, n, d, sample_sets.shape[0], k)
-    floor_sigma = _positive_floor(sorted_vec)
+    candidates = sigma_candidates(curv[~member], n, d, sample_sets.shape[0], k)
+    floor_sigma = _positive_floor(curv)  # member entries are zero, so never the floor
 
     best = None
     for q, sigma_sq in enumerate(candidates, start=1):
@@ -242,12 +245,7 @@ def sweep_and_cluster(
             sigma_sq = floor_sigma
         affinity = affinity_from_curvatures(curv, member, sigma_sq)
         seed_q = seeding.derived_seed(config.seed, _STREAM_SPECTRAL, iteration, q)
-        if n <= config.dense_eig_threshold:
-            partition = spectral_cluster(
-                pairwise_weights(affinity), k, seed_q, data=X, subspace_dim=d
-            )
-        else:
-            partition = spectral_cluster_factored(affinity, k, seed_q, data=X, subspace_dim=d)
+        partition = spectral_cluster_factored(affinity, k, seed_q, data=X, subspace_dim=d)
         error = total_ols_error(X, partition, d)
         if best is None or error < best[3]:
             best = (partition, float(sigma_sq), q, float(error))

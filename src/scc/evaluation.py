@@ -9,7 +9,6 @@ table, and per-histogram CSVs of (bin_left, bin_right, count).
 from __future__ import annotations
 
 import csv
-import itertools
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,7 +31,6 @@ __all__ = [
 
 CATEGORY_ORDER = ("checkerboard", "traffic", "other", "synthetic")
 _ZERO_ERROR_EPS = 1e-12
-_BRUTE_FORCE_MAX = 6
 
 
 @dataclass(frozen=True)
@@ -62,25 +60,12 @@ class AggregateRow:
     median_pct: float
 
 
-def _best_assignment_total(contingency: np.ndarray) -> int:
-    size = contingency.shape[0]
-    if size <= _BRUTE_FORCE_MAX:
-        cols = np.arange(size)
-        return max(
-            int(contingency[list(perm), cols].sum())
-            for perm in itertools.permutations(range(size))
-        )
-    rows, cols = linear_sum_assignment(contingency, maximize=True)
-    return int(contingency[rows, cols].sum())
-
-
 def misclassification_rate(predicted: Partition, truth: Partition) -> float:
     """Percentage of points mislabeled under the best bijective label matching.
 
     When the cluster counts differ the matching runs over the larger label
-    set, so every point of an unmatched cluster counts as an error.
-    Exhaustive search over permutations up to 6 clusters, optimal
-    assignment solver beyond.
+    set, so every point of an unmatched cluster counts as an error. The
+    matching is the optimal assignment of the contingency table.
     """
     if predicted.size != truth.size:
         raise ValueError(
@@ -90,7 +75,8 @@ def misclassification_rate(predicted: Partition, truth: Partition) -> float:
     size = max(predicted.n_clusters, truth.n_clusters)
     contingency = np.zeros((size, size), dtype=np.int64)
     np.add.at(contingency, (truth.labels, predicted.labels), 1)
-    matched = _best_assignment_total(contingency)
+    rows, cols = linear_sum_assignment(contingency, maximize=True)
+    matched = int(contingency[rows, cols].sum())
     return 100.0 * (n - matched) / n
 
 

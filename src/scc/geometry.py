@@ -210,7 +210,9 @@ def total_ols_error(data, partition: Partition, dim: int) -> float:
 
     Each nonempty cluster is fitted at dimension min(dim, size - 1), so
     clusters too small to determine a ``dim``-flat are interpolated exactly
-    and contribute zero. Empty clusters contribute zero.
+    and contribute zero. Empty clusters contribute zero. A cluster's error
+    is the sum of the squared singular values of its centered points beyond
+    the first ``dim``, so no basis is formed.
     """
     X = as_data_matrix(data)
     if partition.size != X.shape[1]:
@@ -223,8 +225,9 @@ def total_ols_error(data, partition: Partition, dim: int) -> float:
         if idx.size == 0:
             continue
         block = X[:, idx]
-        fit = fit_affine_ols(block, min(dim, idx.size - 1))
-        total += float(subspace_sq_distances(block, fit).sum())
+        centered = block - block.mean(axis=1, keepdims=True)
+        singular = np.linalg.svd(centered, compute_uv=False)
+        total += float(np.sum(singular[dim:] ** 2))
     return total
 
 

@@ -2,17 +2,18 @@
 
 Implements the symmetric-normalization variant: rows are embedded with the
 top-K eigenvectors of Deg^{-1/2} W Deg^{-1/2}, row-normalized, and clustered
-by seeded k-means with restarts. Points with zero degree (all-zero weight
-rows) get a zero embedding row; when the original data and the subspace
-dimension are supplied they are re-attached afterwards to the cluster whose
-fitted subspace is nearest.
+by seeded k-means with restarts. For W = A A^T given by its (N, c) affinity
+factor A, the embedding comes from the smaller side of B = Deg^{-1/2} A
+(the left singular vectors of B), so the N x N matrix is never formed.
+Points with zero degree (all-zero weight rows) get a zero embedding row;
+when the original data and the subspace dimension are supplied they are
+re-attached afterwards to the cluster whose fitted subspace is nearest.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from . import seeding
 from .geometry import Partition, as_data_matrix, fit_affine_ols, subspace_sq_distances
@@ -21,7 +22,6 @@ __all__ = ["kmeans", "spectral_cluster", "spectral_cluster_factored"]
 
 KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 100
-DENSE_EIG_THRESHOLD = 2000
 
 
 def _sq_distances(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
@@ -157,6 +157,12 @@ def _attach_isolated(labels, zero_degree, data, subspace_dim, n_clusters):
     return labels
 
 
+def _inverse_sqrt_degree(deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    zero_degree = deg <= 0.0
+    inv_sqrt = np.where(zero_degree, 0.0, 1.0 / np.sqrt(np.where(zero_degree, 1.0, deg)))
+    return zero_degree, inv_sqrt
+
+
 def spectral_cluster(
     weights,
     n_clusters: int,
@@ -164,7 +170,6 @@ def spectral_cluster(
     *,
     data=None,
     subspace_dim: int | None = None,
-    dense_threshold: int = DENSE_EIG_THRESHOLD,
 ) -> Partition:
     """Partition points from a symmetric nonnegative weight matrix.
 
@@ -179,17 +184,37 @@ def spectral_cluster(
     if n < n_clusters:
         raise ValueError(f"cannot split {n} points into {n_clusters} clusters")
 
-    deg = W.sum(axis=1)
-    zero_degree = deg <= 0.0
-    inv_sqrt = np.where(zero_degree, 0.0, 1.0 / np.sqrt(np.where(zero_degree, 1.0, deg)))
+    zero_degree, inv_sqrt = _inverse_sqrt_degree(W.sum(axis=1))
     M = W * inv_sqrt[:, None] * inv_sqrt[None, :]
-
-    if n <= dense_threshold or n_clusters >= n - 1:
-        _, vecs = scipy.linalg.eigh(M, subset_by_index=(n - n_clusters, n - 1))
-    else:
-        vals, vecs = eigsh(M, k=n_clusters, which="LA", v0=np.full(n, 1.0 / np.sqrt(n)))
-        vecs = vecs[:, np.argsort(vals)]
+    _, vecs = scipy.linalg.eigh(M, subset_by_index=(n - n_clusters, n - 1))
     return _embedding_to_labels(vecs, n_clusters, seed, zero_degree, data, subspace_dim)
+
+
+def _factored_embedding(A: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvectors of B B^T for B = Deg^{-1/2} A, solved on B's smaller side.
+
+    Returns the (N, n_clusters) embedding, columns in ascending eigenvalue
+    order, and the zero-degree mask. With N > c the c x c problem B^T B v =
+    lambda v gives u = B v / sqrt(lambda). Each of the top n_clusters
+    directions that B does not span (lambda at round-off level, or missing
+    because n_clusters > c) gets a zero column, so rank-deficient
+    affinities embed without NaN and reproducibly.
+    """
+    n, c = A.shape
+    zero_degree, inv_sqrt = _inverse_sqrt_degree(A @ A.sum(axis=0))
+    B = A * inv_sqrt[:, None]
+    small_side = B @ B.T if n <= c else B.T @ B
+    m = small_side.shape[0]
+    top = min(n_clusters, m)
+    vals, vecs = scipy.linalg.eigh(small_side, subset_by_index=(m - top, m - 1))
+    spanned = vals > m * np.finfo(np.float64).eps * max(float(vals[-1]), 0.0)
+    if n > c:
+        vecs = (B @ vecs[:, spanned]) / np.sqrt(vals[spanned])
+    else:
+        vecs = vecs[:, spanned]
+    embedding = np.zeros((n, n_clusters))
+    embedding[:, n_clusters - top + np.flatnonzero(spanned)] = vecs
+    return embedding, zero_degree
 
 
 def spectral_cluster_factored(
@@ -202,9 +227,9 @@ def spectral_cluster_factored(
 ) -> Partition:
     """Same as ``spectral_cluster`` on A A^T without materializing the N x N matrix.
 
-    Works on the (N, c) affinity factor directly, so storage stays
-    O(N * c); intended for point counts where a dense weight matrix is
-    unreasonable.
+    Works on the (N, c) affinity factor directly: one symmetric
+    eigensolve of size min(N, c), so storage stays O(N * c). This is the
+    engine's spectral path at every N.
     """
     A = np.asarray(affinity, dtype=np.float64)
     if A.ndim != 2:
@@ -214,19 +239,5 @@ def spectral_cluster_factored(
         raise ValueError("n_clusters must be at least 1")
     if n < n_clusters:
         raise ValueError(f"cannot split {n} points into {n_clusters} clusters")
-    if n_clusters >= n - 1:  # too small for a Lanczos solve, form the matrix
-        return spectral_cluster(
-            A @ A.T, n_clusters, seed, data=data, subspace_dim=subspace_dim
-        )
-
-    deg = A @ A.sum(axis=0)
-    zero_degree = deg <= 0.0
-    inv_sqrt = np.where(zero_degree, 0.0, 1.0 / np.sqrt(np.where(zero_degree, 1.0, deg)))
-
-    def matvec(v):
-        return inv_sqrt * (A @ (A.T @ (inv_sqrt * v)))
-
-    op = LinearOperator((n, n), matvec=matvec, dtype=np.float64)
-    vals, vecs = eigsh(op, k=n_clusters, which="LA", v0=np.full(n, 1.0 / np.sqrt(n)))
-    vecs = vecs[:, np.argsort(vals)]
+    vecs, zero_degree = _factored_embedding(A, n_clusters)
     return _embedding_to_labels(vecs, n_clusters, seed, zero_degree, data, subspace_dim)

@@ -71,8 +71,9 @@ def test_sample_initial_requires_complement():
 def test_sigma_candidate_positions():
     # length 1000, K=2, d=3: 1-based positions 500, 250, 125, 63 (round half up)
     vec = np.arange(1.0, 1001.0)
-    cands = sigma_candidates(vec, n_points=14, subspace_dim=3, n_sets=100, n_clusters=2)
-    assert cands == [500.0, 250.0, 125.0, 63.0]
+    for order in (vec, np.random.default_rng(1).permutation(vec)):  # input need not be sorted
+        cands = sigma_candidates(order, n_points=14, subspace_dim=3, n_sets=100, n_clusters=2)
+        assert cands == [500.0, 250.0, 125.0, 63.0]
 
 
 def test_sigma_candidates_single_cluster_all_last():

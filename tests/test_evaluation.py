@@ -44,12 +44,12 @@ def test_one_point_off_is_ten_percent():
 
 def test_hungarian_path_matches_brute_force():
     rng = np.random.default_rng(0)
-    k = 7  # above the exhaustive-search cutoff
-    for _ in range(10):
-        truth = _p(rng.integers(0, k, 60), k)
-        pred = _p(rng.integers(0, k, 60), k)
-        expected = brute_force_misclassification(pred.labels, truth.labels, k)
-        assert misclassification_rate(pred, truth) == pytest.approx(expected)
+    for k in range(2, 8):
+        for _ in range(10):
+            truth = _p(rng.integers(0, k, 60), k)
+            pred = _p(rng.integers(0, k, 60), k)
+            expected = brute_force_misclassification(pred.labels, truth.labels, k)
+            assert misclassification_rate(pred, truth) == pytest.approx(expected)
 
 
 def test_unequal_cluster_counts():

@@ -6,7 +6,7 @@ from scc.engine import sample_initial, sigma_candidates
 from scc.curvature import curvature_vector
 from scc.evaluation import misclassification_rate
 from scc.geometry import Partition
-from scc.spectral import kmeans, spectral_cluster, spectral_cluster_factored
+from scc.spectral import _factored_embedding, kmeans, spectral_cluster, spectral_cluster_factored
 
 from oracles import labeling_cost
 
@@ -117,10 +117,26 @@ def test_zero_degree_points_attach_to_nearest_subspace():
 
 def test_factored_matches_dense():
     rng = np.random.default_rng(12)
-    aff = rng.random((40, 10))
-    dense = spectral_cluster(pairwise_weights(aff), 3, seed=8)
-    factored = spectral_cluster_factored(aff, 3, seed=8)
-    assert misclassification_rate(factored, dense) == 0.0
+    # N > c solves on the c side, N <= c on the N side
+    for shape in ((40, 10), (10, 40), (25, 25)):
+        aff = rng.random(shape)
+        dense = spectral_cluster(pairwise_weights(aff), 3, seed=8)
+        factored = spectral_cluster_factored(aff, 3, seed=8)
+        assert misclassification_rate(factored, dense) == 0.0
+    # rank(B) < K on either side (two nonzero columns), and K > c
+    degenerate = (
+        np.hstack([rng.random((30, 2)), np.zeros((30, 6))]),
+        np.hstack([rng.random((6, 2)), np.zeros((6, 8))]),
+        rng.random((30, 2)),
+    )
+    for aff in degenerate:
+        vecs, zero_degree = _factored_embedding(aff, 3)
+        assert vecs.shape == (aff.shape[0], 3) and not zero_degree.any()
+        assert np.isfinite(vecs).all()
+        assert not vecs[:, 0].any()  # the direction B does not span embeds as zeros
+        first = spectral_cluster_factored(aff, 3, seed=8)
+        again = spectral_cluster_factored(aff, 3, seed=8)
+        assert first.n_clusters == 3 and np.array_equal(first.labels, again.labels)
 
 
 def test_kmeans_every_point_its_own_cluster():
