@@ -15,6 +15,7 @@ import json
 import os
 import sys
 import time
+import traceback
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -436,7 +437,8 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _log(f"error: {exc}")
         return EXIT_CONFIG
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
+        traceback.print_exc(file=sys.stderr)
         _log(f"internal error: {exc}")
         return EXIT_INTERNAL
 

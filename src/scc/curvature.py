@@ -14,6 +14,15 @@ and homogeneous of degree 2 under uniform scaling: scaling every point by s
 multiplies it by s^2. The vertex-normalized volumes are squared polar sines,
 which do not change with scale, so only the squared diameter carries units.
 
+For a tuple [x, subset] the squared volume factors as the subset's own
+squared volume times the squared distance from x to the subset's flat
+(Chen & Lerman, Spectral Curvature Clustering, IJCV 2009). So
+``curvature_matrix`` takes one QR factorization per sampled subset and
+reads every quantity off each point's coordinates in that subset's frame,
+in units of the subset's extent. Nothing is formed from squared norms of
+the raw coordinates, whose cancellation would tie the result's accuracy to
+the data's origin and units.
+
 Sample sets are integer arrays of shape (c, d+1): c subsets of point
 indices, distinct within each row.
 """
@@ -67,17 +76,19 @@ def _as_tuple(points, flat_dim: int) -> np.ndarray:
 
 
 def simplex_gram_det(points, flat_dim: int) -> float:
-    """det(Gram + ones) of a centered (flat_dim+2)-point tuple.
+    """((flat_dim+1)! * Vol)^2 of the simplex spanned by a (flat_dim+2)-point tuple.
 
-    Centering makes the value translation invariant and equal to
-    ((flat_dim+1)! * Vol)^2 where Vol is the volume of the simplex spanned
-    by the tuple; it vanishes exactly when the points share a common
-    flat_dim-dimensional flat. Tiny negative round-off is clamped to zero.
+    This is the Gram determinant of the edge vectors from the first point,
+    computed as prod(diag(R))^2 from their QR factorization. It vanishes
+    exactly when the points share a common flat_dim-dimensional flat, and
+    always when there are more edges than ambient dimensions.
     """
     pts = _as_tuple(points, flat_dim)
-    centered = pts - pts.mean(axis=1, keepdims=True)
-    det = float(np.linalg.det(centered.T @ centered + 1.0))
-    return max(det, 0.0)
+    edges = pts[:, 1:] - pts[:, :1]
+    if edges.shape[0] < edges.shape[1]:
+        return 0.0
+    R = np.linalg.qr(edges, mode="r")
+    return float(np.prod(np.diagonal(R) ** 2))
 
 
 def polar_curvature_sq(points, flat_dim: int) -> float:
@@ -89,9 +100,7 @@ def polar_curvature_sq(points, flat_dim: int) -> float:
 
     The value is invariant under rigid motions and permutations of the
     points and homogeneous of degree 2 under uniform scaling:
-    ``polar_curvature_sq(s * X) == s**2 * polar_curvature_sq(X)``. In
-    floating point this holds for tuples of moderate extent; the ``+ 1``
-    in ``simplex_gram_det`` limits it when squared distances are far from 1.
+    ``polar_curvature_sq(s * X) == s**2 * polar_curvature_sq(X)``.
     """
     pts = _as_tuple(points, flat_dim)
     m = pts.shape[1]
@@ -101,16 +110,19 @@ def polar_curvature_sq(points, flat_dim: int) -> float:
     off_diag = sq[~np.eye(m, dtype=bool)]
     if (off_diag == 0.0).any():
         return 0.0 if diam_sq == 0.0 else float("inf")
-    det = simplex_gram_det(pts, flat_dim)
-    prods = sq.copy()
+    # on the tuple scaled to unit diameter no product over- or underflows
+    det = simplex_gram_det(pts / np.sqrt(diam_sq), flat_dim)
+    prods = sq / diam_sq
     np.fill_diagonal(prods, 1.0)
     vertex_products = prods.prod(axis=1)
     total = float((det / vertex_products).sum()) / m
     return diam_sq * total
 
 
-# chunking bound: entries of the (N, chunk, m, m) determinant stack held at once
+# chunking bound: entries of the (chunk, D, N) stack of offsets from each subset's anchor
 _CHUNK_ENTRIES = 1 << 21
+# squared distance, in units of the subset's extent, below which two points coincide
+_DUP_TOL = (1e3 * _EPS) ** 2
 
 
 def curvature_matrix(data, sample_sets) -> tuple[np.ndarray, np.ndarray]:
@@ -119,28 +131,30 @@ def curvature_matrix(data, sample_sets) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(curv, member)`` of shape (N, c): ``curv[i, r]`` is the
     squared polar curvature of point i appended to subset r, and
     ``member[i, r]`` marks i being inside subset r (those entries are
-    excluded from any downstream use and hold zeros).
+    excluded from any downstream use and hold zeros). A tuple with a
+    duplicated point scores +inf, and 0 when all its points coincide.
 
-    Columns are evaluated in memory-bounded chunks: each subset's Gram
-    blocks are formed once and all appended points are handled by batched
-    matrix products and determinants, keeping the cost at
-    O((d+1)^2 * D * N) per column and the extra storage at O(N) per
-    column chunk. Columns are independent and the output does not depend
-    on chunk boundaries.
+    Each subset r is reduced to the QR factorization Q R of the edge
+    vectors from its first point (the anchor). A point x has coordinates
+    T = Q^T (x - anchor) in that frame and squared distance h^2 to the
+    subset's flat, so the tuple's squared volume term is
+    prod(diag(R))^2 * h^2 and its squared distance to subset point j is
+    |T - R_j|^2 + h^2. Columns are evaluated in memory-bounded chunks at
+    O(d * D * N) cost per column; the output does not depend on chunk
+    boundaries.
     """
     X = as_data_matrix(data)
-    n = X.shape[1]
+    ambient, n = X.shape
     sets = validate_sample_sets(sample_sets, n)
     c, m = sets.shape  # m = d + 1 sampled points per subset
 
-    norms = np.einsum("ij,ij->j", X, X)
     curv = np.empty((n, c))
     member = np.zeros((n, c), dtype=bool)
 
-    chunk = max(1, _CHUNK_ENTRIES // (n * m * m))
+    chunk = max(1, _CHUNK_ENTRIES // (ambient * n))
     for start in range(0, c, chunk):
         block = sets[start : start + chunk]
-        curv[:, start : start + block.shape[0]] = _curvature_block(X, norms, block)
+        curv[:, start : start + block.shape[0]] = _curvature_block(X, block).T
 
     rows = sets.ravel()
     cols = np.repeat(np.arange(c), m)
@@ -149,60 +163,55 @@ def curvature_matrix(data, sample_sets) -> tuple[np.ndarray, np.ndarray]:
     return curv, member
 
 
-def _curvature_block(X: np.ndarray, norms: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """Curvatures of all points against one chunk of sampled subsets."""
-    n = X.shape[1]
+def _curvature_block(X: np.ndarray, sets: np.ndarray) -> np.ndarray:
+    """(b, N) curvatures of all points against one chunk of b sampled subsets."""
     b, m = sets.shape
-    tuple_size = m + 1
+    anchors = X[:, sets[:, 0]].T  # (b, D)
+    edges = X[:, sets[:, 1:]].transpose(1, 0, 2) - anchors[:, :, None]  # (b, D, d)
+    Q, R = np.linalg.qr(edges)  # R: (b, k, d), k = min(D, d)
 
-    base = X[:, sets]  # (D, b, m)
-    base_norms = norms[sets]  # (b, m)
+    offsets = X[None, :, :] - anchors[:, :, None]  # (b, D, N)
+    T = Q.transpose(0, 2, 1) @ offsets  # (b, k, N)
+    offsets -= Q @ T
+    h2 = np.einsum("bdn,bdn->bn", offsets, offsets)
+    del offsets
 
-    # exact pairwise squared distances among each subset's points
-    bdiff = base[:, :, :, None] - base[:, :, None, :]
-    base_sq = np.einsum("dbjk,dbjk->bjk", bdiff, bdiff)
+    # units of the subset's extent; a subset of one point, or of one point
+    # repeated, has none and keeps the input's units
+    extent = np.abs(R).max(axis=(1, 2), initial=0.0)
+    unit = np.where(extent > 0.0, extent, 1.0)
+    R = R / unit[:, None, None]
+    T /= unit[:, None, None]
+    h2 /= (unit**2)[:, None]
 
-    cross_dot = (X.T @ base.reshape(X.shape[0], b * m)).reshape(n, b, m)
-    s = norms[:, None, None] + base_norms[None, :, :] - 2.0 * cross_dot
-    np.maximum(s, 0.0, out=s)
-    # below this level a computed distance is indistinguishable from zero
-    dup_cross = s <= 16.0 * _EPS * (norms[:, None, None] + base_norms[None, :, :])
+    vertices = np.concatenate([np.zeros((b, R.shape[1], 1)), R], axis=2)  # (b, k, m)
+    vdiff = vertices[:, :, :, None] - vertices[:, :, None, :]
+    base_sq = np.einsum("bkij,bkij->bij", vdiff, vdiff)  # (b, m, m)
+    # squared distances to the subset's points, (b, m, N): reductions over
+    # the short vertex axis stay vectorized along N
+    tdiff = T[:, :, None, :] - vertices[:, :, :, None]
+    s = np.einsum("bkjn,bkjn->bjn", tdiff, tdiff) + h2[:, None, :]
+    del tdiff
 
-    # Gram determinants of difference vectors anchored at the appended
-    # point: ((d+1)! * Vol)^2 for every tuple [x_i, subset], batched.
-    base_gram = np.einsum("dbj,dbk->bjk", base, base)
-    gram = (
-        base_gram[None, :, :, :]
-        - cross_dot[:, :, :, None]
-        - cross_dot[:, :, None, :]
-        + norms[:, None, None, None]
-    )
-    dets = np.linalg.det(gram)
-    np.maximum(dets, 0.0, out=dets)
+    # ((d+1)! * Vol)^2 of every tuple [x, subset]
+    dets = (np.diagonal(R, axis1=1, axis2=2) ** 2).prod(axis=1)[:, None] * h2
 
-    diag = np.arange(m)
-    base_off = base_sq.copy()
-    base_off[:, diag, diag] = 1.0
-    base_vertex_prod = base_off.prod(axis=2)  # (b, m)
+    others = ~np.eye(m, dtype=bool)
+    base_vertex_prod = np.where(others, base_sq, 1.0).prod(axis=2)  # (b, m)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        appended_prod = s.prod(axis=2)
-        inv_sum = 1.0 / appended_prod + (1.0 / (s * base_vertex_prod[None, :, :])).sum(axis=2)
-        base_sq_max = base_sq.max(axis=(1, 2))
-        diam_sq = np.maximum(base_sq_max[None, :], s.max(axis=2))
-        out = diam_sq * dets * inv_sum / tuple_size
+        inv_sum = 1.0 / s.prod(axis=1) + (1.0 / (s * base_vertex_prod[:, :, None])).sum(axis=1)
+        diam_sq = np.maximum(base_sq.max(axis=(1, 2))[:, None], s.max(axis=1))
+        out = diam_sq * dets * inv_sum * ((unit**2) / (m + 1))[:, None]
 
-    base_dup_tol = 16.0 * _EPS * (base_norms[:, :, None] + base_norms[:, None, :])
-    if m > 1:  # the diagonal is always zero; only off-diagonal pairs count
-        off_mask = ~np.eye(m, dtype=bool)
-        base_dup = (base_sq[:, off_mask] <= base_dup_tol[:, off_mask]).any(axis=1)
-    else:
-        base_dup = np.zeros(b, dtype=bool)
-    has_dup = dup_cross.any(axis=2) | base_dup[None, :]
-    out[has_dup] = np.inf
-    fully_degenerate = base_sq_max == 0.0  # every subset point identical
-    coincide = dup_cross.all(axis=2) & fully_degenerate[None, :]
-    out[coincide] = 0.0
+    # an exact duplicate leaves round-off of relative size eps in the
+    # distances; without any extent the subset is one point and only an
+    # exact zero counts
+    tol = np.where(extent > 0.0, _DUP_TOL, 0.0)
+    dup = s <= tol[:, None, None]
+    base_dup = (base_sq[:, others] <= tol[:, None]).any(axis=1)
+    out[dup.any(axis=1) | base_dup[:, None]] = np.inf
+    out[dup.all(axis=1) & (extent == 0.0)[:, None]] = 0.0
     np.nan_to_num(out, copy=False, nan=np.inf, posinf=np.inf)
     return out
 

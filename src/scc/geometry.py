@@ -115,33 +115,14 @@ class Partition:
         return np.flatnonzero(self.labels == k)
 
 
-def _complete_basis(basis_cols: list[np.ndarray], ambient_dim: int, target: int) -> list[np.ndarray]:
-    """Deterministically extend a partial orthonormal set to ``target`` columns."""
-    cols = list(basis_cols)
-    for i in range(ambient_dim):
-        if len(cols) >= target:
-            break
-        cand = np.zeros(ambient_dim)
-        cand[i] = 1.0
-        for col in cols:
-            cand -= (col @ cand) * col
-        norm = np.linalg.norm(cand)
-        if norm > 1e-6:
-            cols.append(cand / norm)
-    if len(cols) < target:
-        raise RuntimeError("failed to complete orthonormal basis")
-    return cols
-
-
 def fit_affine_ols(points, dim: int) -> AffineSubspace:
     """Best-fit affine subspace of the given dimension in the OLS sense.
 
-    The origin is the column mean and the basis spans the top ``dim``
-    principal directions of the centered points, computed from an
-    eigendecomposition of whichever scatter matrix (D x D or N x N) is
-    smaller. When the centered data has rank below ``dim`` the basis is
-    completed deterministically; any orthonormal basis of the top
-    eigenspace yields the same projections and residuals.
+    The origin is the column mean and the basis is the top ``dim`` left
+    singular vectors of the centered points. When the centered data has
+    rank below ``dim`` the remaining columns are an orthonormal completion
+    from the full SVD; any orthonormal basis of the top singular subspace
+    yields the same projections and residuals.
     """
     X = as_data_matrix(points)
     ambient, count = X.shape
@@ -151,34 +132,9 @@ def fit_affine_ols(points, dim: int) -> AffineSubspace:
         raise ValueError(f"invalid dimension: {dim} exceeds ambient dimension {ambient}")
 
     origin = X.mean(axis=1)
-    if dim == 0:
-        return AffineSubspace(origin, np.zeros((ambient, 0)))
     centered = X - origin[:, None]
-
-    if ambient <= count:
-        scatter = centered @ centered.T
-        _, vecs = np.linalg.eigh(scatter)
-        basis = vecs[:, ::-1][:, :dim]
-    else:
-        gram = centered.T @ centered
-        vals, vecs = np.linalg.eigh(gram)
-        vals, vecs = vals[::-1], vecs[:, ::-1]
-        scale = max(float(vals[0]), 0.0)
-        cols: list[np.ndarray] = []
-        for j in range(min(dim, count)):
-            if vals[j] <= scale * 1e-14 or vals[j] <= 0.0:
-                break
-            u = centered @ vecs[:, j]
-            u /= np.linalg.norm(u)
-            for col in cols:  # re-orthogonalize against earlier columns
-                u -= (col @ u) * col
-            norm = np.linalg.norm(u)
-            if norm <= 1e-8:
-                break
-            cols.append(u / norm)
-        cols = _complete_basis(cols, ambient, dim)
-        basis = np.column_stack(cols[:dim])
-
+    U, _, _ = np.linalg.svd(centered, full_matrices=count < dim)
+    basis = U[:, :dim]
     return AffineSubspace(origin, basis)
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg import blas
 
 from . import seeding
 from .geometry import Partition, as_data_matrix, fit_affine_ols, subspace_sq_distances
@@ -24,20 +25,22 @@ KMEANS_RESTARTS = 10
 KMEANS_MAX_ITER = 100
 
 
-def _sq_distances(rows: np.ndarray, centers: np.ndarray) -> np.ndarray:
+def _sq_distances(rows: np.ndarray, row_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
     d2 = (
-        np.einsum("ij,ij->i", rows, rows)[:, None]
+        row_norms[:, None]
         - 2.0 * rows @ centers.T
         + np.einsum("ij,ij->i", centers, centers)[None, :]
     )
     return np.maximum(d2, 0.0)
 
 
-def _plus_plus_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _plus_plus_init(
+    rows: np.ndarray, row_norms: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     n = rows.shape[0]
     centers = np.empty((k, rows.shape[1]))
     centers[0] = rows[rng.integers(n)]
-    d2 = _sq_distances(rows, centers[:1])[:, 0]
+    d2 = _sq_distances(rows, row_norms, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total > 0.0:
@@ -45,15 +48,17 @@ def _plus_plus_init(rows: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
         else:
             idx = rng.integers(n)
         centers[j] = rows[idx]
-        d2 = np.minimum(d2, _sq_distances(rows, centers[j : j + 1])[:, 0])
+        d2 = np.minimum(d2, _sq_distances(rows, row_norms, centers[j : j + 1])[:, 0])
     return centers
 
 
-def _lloyd(rows: np.ndarray, centers: np.ndarray, max_iter: int) -> np.ndarray:
+def _lloyd(
+    rows: np.ndarray, row_norms: np.ndarray, centers: np.ndarray, max_iter: int
+) -> np.ndarray:
     n, k = rows.shape[0], centers.shape[0]
     labels = None
     for _ in range(max_iter):
-        d2 = _sq_distances(rows, centers)
+        d2 = _sq_distances(rows, row_norms, centers)
         new_labels = d2.argmin(axis=1)  # ties go to the lowest center index
         counts = np.bincount(new_labels, minlength=k)
         if (counts == 0).any():
@@ -100,11 +105,16 @@ def kmeans(rows, n_clusters: int, seed: int) -> Partition:
     if n < n_clusters:
         raise ValueError(f"cannot split {n} rows into {n_clusters} clusters")
 
+    row_norms = np.einsum("ij,ij->i", mat, mat)
     best_labels, best_cost = None, np.inf
+    found: list[np.ndarray] = []
     for restart in range(KMEANS_RESTARTS):
         rng = seeding.generator(seed, 101, restart)
-        centers = _plus_plus_init(mat, n_clusters, rng)
-        labels = _lloyd(mat, centers.copy(), KMEANS_MAX_ITER)
+        centers = _plus_plus_init(mat, row_norms, n_clusters, rng)
+        labels = _lloyd(mat, row_norms, centers.copy(), KMEANS_MAX_ITER)
+        if any(np.array_equal(labels, earlier) for earlier in found):
+            continue  # a repeated labeling has the same cost and cannot win
+        found.append(labels)
         cost = _wcss(mat, labels, n_clusters)
         if cost < best_cost:
             best_cost, best_labels = cost, labels
@@ -201,15 +211,20 @@ def _factored_embedding(A: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.
     affinities embed without NaN and reproducibly.
     """
     n, c = A.shape
-    zero_degree, inv_sqrt = _inverse_sqrt_degree(A @ A.sum(axis=0))
+    # The products use scipy's BLAS, the library of the eigensolver: numpy
+    # links a second OpenBLAS, and under default threading the two thread
+    # pools contend for the same cores.
+    zero_degree, inv_sqrt = _inverse_sqrt_degree(blas.dgemv(1.0, A.T, A.sum(axis=0), trans=1))
     B = A * inv_sqrt[:, None]
-    small_side = B @ B.T if n <= c else B.T @ B
+    small_side = blas.dsyrk(1.0, B.T, trans=1 if n <= c else 0, lower=1)
     m = small_side.shape[0]
     top = min(n_clusters, m)
-    vals, vecs = scipy.linalg.eigh(small_side, subset_by_index=(m - top, m - 1))
+    vals, vecs = scipy.linalg.eigh(
+        small_side, subset_by_index=(m - top, m - 1), overwrite_a=True, check_finite=False
+    )
     spanned = vals > m * np.finfo(np.float64).eps * max(float(vals[-1]), 0.0)
     if n > c:
-        vecs = (B @ vecs[:, spanned]) / np.sqrt(vals[spanned])
+        vecs = blas.dgemm(1.0, B.T, vecs[:, spanned], trans_a=1) / np.sqrt(vals[spanned])
     else:
         vecs = vecs[:, spanned]
     embedding = np.zeros((n, n_clusters))

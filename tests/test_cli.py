@@ -96,6 +96,20 @@ def test_cluster_exit_codes(tmp_path):
     assert main(["cluster", "--in", str(seq), "--d", "0", "--K", "2"]) == 3
 
 
+def test_cluster_internal_error_prints_traceback(tmp_path, monkeypatch, capsys):
+    seq = _synth(tmp_path, "f.seq", K=2, N=30, D=6, d=2, seed=1)
+    capsys.readouterr()
+
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("scc.cli.scc_run", broken)
+    assert main(["cluster", "--in", str(seq), "--d", "2", "--K", "2"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "RuntimeError: boom" in err
+    assert "internal error: boom" in err
+
+
 def _make_suite(tmp_path):
     data_dir = tmp_path / "suite"
     data_dir.mkdir()

@@ -114,6 +114,17 @@ def test_polar_curvature_is_degree_two_homogeneous(seed, scale):
     assert polar_curvature_sq(pts * scale, 2) == pytest.approx(scale**2 * base, rel=1e-8)
 
 
+def test_polar_curvature_degree_two_law_across_scales():
+    # scaling far from unit size must neither underflow nor overflow the
+    # determinant and the vertex distance products
+    for seed in range(3):
+        pts = np.random.default_rng(seed).standard_normal((5, 5))
+        base = polar_curvature_sq(pts, 3)
+        for k in range(-150, 151, 10):
+            scale = 10.0**k
+            assert polar_curvature_sq(pts * scale, 3) == pytest.approx(scale**2 * base, rel=1e-12)
+
+
 def test_polar_curvature_matches_loop_reference():
     rng = np.random.default_rng(4)
     for flat_dim in (1, 2, 3):
@@ -151,6 +162,26 @@ def test_curvature_matrix_handles_duplicate_points():
         pytest.skip("random draw collided with the duplicated index")
     curv, member = curvature_matrix(data, sets)
     assert curv[3, 0] == math.inf
+
+
+def test_curvature_matrix_is_translation_invariant():
+    data, sets = _random_case(22)
+    curv, member = curvature_matrix(data, sets)
+    shifted, shifted_member = curvature_matrix(data + 1e6, sets)
+    assert (shifted_member == member).all()
+    keep = ~member & np.isfinite(curv)
+    assert np.allclose(shifted[keep], curv[keep], rtol=1e-9, atol=0.0)
+
+
+def test_curvature_matrix_flat_dim_zero_is_squared_distance():
+    data, _ = _random_case(23)
+    sets = np.array([[0], [5], [9]])
+    curv, member = curvature_matrix(data, sets)
+    for r, (j,) in enumerate(sets):
+        expected = ((data - data[:, [j]]) ** 2).sum(axis=0)
+        expected[j] = 0.0
+        assert np.allclose(curv[:, r], expected, rtol=1e-12, atol=0.0)
+        assert member[:, r].sum() == 1 and member[j, r]
 
 
 def test_curvature_vector_shape_and_sorting():

@@ -187,6 +187,16 @@ def test_scc_run_noiseless_mixture():
     assert result.iterations_run <= 10
 
 
+def test_scc_run_partition_ignores_units_and_origin():
+    spec = SynthSpec(n_clusters=2, points_per_cluster=60, subspace_dim=2, ambient_dim=8, seed=0)
+    data, truth = synth_subspace_mixture(spec)
+    config = SccConfig(subspace_dim=2, n_clusters=2, seed=0)
+    base = scc_run(data, config).partition
+    assert misclassification_rate(base, truth) == 0.0
+    for moved in (data * 1e-100, data * 1e-60, data * 1e60, data * 1e100, data + 1e9):
+        assert (scc_run(moved, config).partition.labels == base.labels).all()
+
+
 def test_scc_run_single_cluster_matches_global_fit():
     rng = np.random.default_rng(8)
     data = rng.standard_normal((5, 30))
