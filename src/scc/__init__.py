@@ -15,13 +15,7 @@ from .geometry import (
     total_ols_error,
     total_scatter,
 )
-from .curvature import (
-    build_affinity,
-    curvature_vector,
-    pairwise_weights,
-    polar_curvature_sq,
-    simplex_gram_det,
-)
+from .curvature import pairwise_weights, polar_curvature_sq, simplex_gram_det
 from .spectral import kmeans, spectral_cluster, spectral_cluster_factored
 from .engine import SccConfig, SccResult, resample_within, sample_initial, scc_run, sigma_candidates, sweep_and_cluster
 from .evaluation import EvalRecord, aggregate, error_histogram, misclassification_rate
@@ -47,8 +41,6 @@ __all__ = [
     "SynthSpec",
     "EvalRecord",
     "aggregate",
-    "build_affinity",
-    "curvature_vector",
     "dist_to_subspace",
     "error_histogram",
     "fit_affine_ols",

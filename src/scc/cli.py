@@ -4,7 +4,6 @@ run the benchmark protocol over a directory of sequences, and emit reports.
 All commands are deterministic for a fixed --seed (default 0). Wall-clock
 timings are diagnostics only: they go to stderr, to the cluster command's
 JSON-lines record, and to bench's timings.csv, never into the result files.
-SCC_THREADS caps the bench worker count.
 """
 
 from __future__ import annotations
@@ -12,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
 import traceback
@@ -49,6 +47,7 @@ DEFAULT_SEED = 0
 DEFAULT_REPEATS = 100
 DEFAULT_REGIMES = ("3,d+1", "3,4K", "3,2F", "4,d+1", "4,4K", "4,2F")
 DEFAULT_BIN_EDGES = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 100.0]
+_RECORD_COLUMNS = ["method", "sequence", "category", "motions", "error_pct", "runs"]
 
 EXIT_INTERNAL = 1
 EXIT_PARSE = 2
@@ -183,14 +182,6 @@ def _bench_one(payload) -> tuple[str, str, float, float]:
     )
 
 
-def _worker_count(args) -> int:
-    workers = args.workers
-    cap = os.environ.get("SCC_THREADS")
-    if cap is not None:
-        workers = min(workers, max(1, int(cap)))
-    return max(1, workers)
-
-
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError("--repeats must be at least 1")
@@ -221,52 +212,34 @@ def cmd_bench(args) -> int:
         for record in sequences
         for dim, proj in regimes
     ]
-    workers = _worker_count(args)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+    if args.workers > 1:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             outcomes = list(pool.map(_bench_one, tasks))
     else:
         outcomes = [_bench_one(task) for task in tasks]
 
-    by_method: dict[str, list[EvalRecord]] = {}
-    runtimes: dict[tuple[str, str], float] = {}
     meta = {rec.sequence_id: rec for rec in sequences}
-    for seq_id, method, mean_error, mean_time in outcomes:
-        record = meta[seq_id]
-        by_method.setdefault(method, []).append(
-            EvalRecord(
-                sequence_id=seq_id,
-                category=record.category,
-                n_motions=record.truth_labels.n_clusters,
-                error_pct=mean_error,
-                runs=args.repeats,
-                mean_runtime=mean_time,
-            )
-        )
-        runtimes[(seq_id, method)] = mean_time
-        _log(f"{seq_id} [{method}]: mean error {mean_error:.3f}% ({mean_time:.2f} s/run)")
-
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    emitted = _emit_reports(out_dir, by_method, args.include_reference, DEFAULT_BIN_EDGES)
-
     records_path = out_dir / "records.csv"
     with records_path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(["method", "sequence", "category", "motions", "error_pct", "runs"])
-        for method in sorted(by_method):
-            for rec in sorted(by_method[method], key=lambda r: r.sequence_id):
-                writer.writerow(
-                    [method, rec.sequence_id, rec.category, rec.n_motions, f"{rec.error_pct:.6f}", rec.runs]
-                )
-    emitted.append(records_path.name)
+        writer.writerow(_RECORD_COLUMNS)
+        for seq_id, method, mean_error, mean_time in sorted(outcomes, key=lambda o: (o[1], o[0])):
+            record = meta[seq_id]
+            # 17 significant digits round-trip exactly, so `scc report` rebuilds the same tables
+            writer.writerow(
+                [method, seq_id, record.category, record.truth_labels.n_clusters, f"{mean_error:.17g}", args.repeats]
+            )
+            _log(f"{seq_id} [{method}]: mean error {mean_error:.3f}% ({mean_time:.2f} s/run)")
+    emitted = _emit_reports(out_dir, records_path, args.include_reference) + [records_path.name]
 
     timings_path = out_dir / "timings.csv"  # diagnostics; wall-clock, not reproducible
     with timings_path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["sequence", "method", "mean_runtime_sec"])
-        for (seq_id, method) in sorted(runtimes):
-            writer.writerow([seq_id, method, f"{runtimes[(seq_id, method)]:.4f}"])
+        for seq_id, method, _, mean_time in sorted(outcomes, key=lambda o: o[:2]):
+            writer.writerow([seq_id, method, f"{mean_time:.4f}"])
 
     manifest = {
         "dataset": str(data_dir),
@@ -284,12 +257,30 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def _emit_reports(
-    out_dir: Path,
-    by_method: dict[str, list[EvalRecord]],
-    include_reference: bool,
-    bin_edges: list[float],
-) -> list[str]:
+def _emit_reports(out_dir: Path, records_path: Path, include_reference: bool) -> list[str]:
+    """Write report.csv, report.txt and the histograms from a records.csv.
+
+    Returns the names written; none, and no directory, when the file holds
+    no records.
+    """
+    by_method: dict[str, list[EvalRecord]] = {}
+    with records_path.open("r", encoding="utf-8", newline="") as handle:
+        reader = csv.DictReader(handle)
+        if reader.fieldnames is None or not set(_RECORD_COLUMNS).issubset(reader.fieldnames):
+            raise SequenceParseError(records_path, 1, f"records CSV must have columns {sorted(_RECORD_COLUMNS)}")
+        for row in reader:
+            by_method.setdefault(row["method"], []).append(
+                EvalRecord(
+                    sequence_id=row["sequence"],
+                    category=row["category"],
+                    n_motions=int(row["motions"]),
+                    error_pct=float(row["error_pct"]),
+                    runs=int(row["runs"]),
+                )
+            )
+    if not by_method:
+        return []
+    out_dir.mkdir(parents=True, exist_ok=True)
     emitted: list[str] = []
     motions_values = sorted({r.n_motions for records in by_method.values() for r in records})
 
@@ -322,10 +313,10 @@ def _emit_reports(
             errors = [r.error_pct for r in by_method[method] if r.n_motions == motions]
             if not errors:
                 continue
-            counts, zero_share = error_histogram(errors, bin_edges)
+            counts, zero_share = error_histogram(errors, DEFAULT_BIN_EDGES)
             slug = method.replace(" ", "").replace("(", "").replace(")", "").replace(",", "-")
             hist_path = out_dir / f"hist_{slug}_{motions}motions.csv"
-            write_histogram_csv(hist_path, bin_edges, counts)
+            write_histogram_csv(hist_path, DEFAULT_BIN_EDGES, counts)
             emitted.append(hist_path.name)
             _log(f"{method}, {motions} motions: {zero_share:.1f}% of sequences at zero error")
     return emitted
@@ -335,29 +326,10 @@ def _emit_reports(
 
 
 def cmd_report(args) -> int:
-    records_path = Path(args.records)
-    by_method: dict[str, list[EvalRecord]] = {}
-    with records_path.open("r", encoding="utf-8", newline="") as handle:
-        reader = csv.DictReader(handle)
-        required = {"method", "sequence", "category", "motions", "error_pct", "runs"}
-        if reader.fieldnames is None or not required.issubset(reader.fieldnames):
-            raise SequenceParseError(records_path, 1, f"records CSV must have columns {sorted(required)}")
-        for row in reader:
-            by_method.setdefault(row["method"], []).append(
-                EvalRecord(
-                    sequence_id=row["sequence"],
-                    category=row["category"],
-                    n_motions=int(row["motions"]),
-                    error_pct=float(row["error_pct"]),
-                    runs=int(row["runs"]),
-                )
-            )
-    if not by_method:
+    out_dir = Path(args.out)
+    if not _emit_reports(out_dir, Path(args.records), args.include_reference):
         _log("error: no records found")
         return EXIT_INTERNAL
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _emit_reports(out_dir, by_method, args.include_reference, DEFAULT_BIN_EDGES)
     _log(f"wrote report under {out_dir}")
     return 0
 
@@ -411,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--c", type=int, default=None, help="sampled subsets (default 100*K)")
     bench.add_argument("--max-iterations", type=int, default=None)
     bench.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    bench.add_argument("--workers", type=int, default=1, help="parallel workers (capped by SCC_THREADS)")
+    bench.add_argument("--workers", type=int, default=1, help="parallel worker processes")
     bench.add_argument("--include-reference", action="store_true", help="join published method rows")
     bench.set_defaults(func=cmd_bench)
 

@@ -39,8 +39,6 @@ __all__ = [
     "polar_curvature_sq",
     "curvature_matrix",
     "affinity_from_curvatures",
-    "build_affinity",
-    "curvature_vector",
     "pairwise_weights",
 ]
 
@@ -225,24 +223,6 @@ def affinity_from_curvatures(curv: np.ndarray, member: np.ndarray, sigma_sq: flo
     aff[~np.isfinite(curv)] = 0.0
     aff[member] = 0.0
     return aff
-
-
-def build_affinity(data, sample_sets, sigma_sq: float) -> np.ndarray:
-    """The (N, c) affinity matrix for the given sample sets and bandwidth sigma^2."""
-    if not sigma_sq > 0.0:
-        raise ValueError("sigma_sq must be positive")
-    curv, member = curvature_matrix(data, sample_sets)
-    return affinity_from_curvatures(curv, member, sigma_sq)
-
-
-def curvature_vector(data, sample_sets) -> np.ndarray:
-    """All (N - d - 1) * c squared curvatures of non-member points, sorted ascending."""
-    X = as_data_matrix(data)
-    sets = validate_sample_sets(sample_sets, X.shape[1])
-    if X.shape[1] <= sets.shape[1]:
-        raise ValueError("need more points than a sample set holds to have complement points")
-    curv, member = curvature_matrix(X, sets)
-    return np.sort(curv[~member])
 
 
 def pairwise_weights(affinity) -> np.ndarray:

@@ -49,6 +49,9 @@ _STREAM_INITIAL = 0
 _STREAM_RESAMPLE = 1
 _STREAM_SPECTRAL = 2
 
+# relative drop in the best OLS error that counts as an improvement
+_IMPROVEMENT_TOL = 1e-6
+
 
 def _normalize_projection(name: str) -> str:
     canon = {"ambient": "ambient", "2f": "ambient", "4k": "4K", "d+1": "d+1"}
@@ -64,15 +67,14 @@ class SccConfig:
 
     ``n_sample_sets`` defaults to 100 per cluster and ``max_iterations`` to
     max(10, 2 * (subspace_dim + 1)). The run stops early once the best OLS
-    error has failed to improve by a relative ``improvement_tol`` for
-    ``patience`` consecutive iterations.
+    error has failed to improve by a relative 1e-6 for ``patience``
+    consecutive iterations.
     """
 
     subspace_dim: int
     n_clusters: int
     n_sample_sets: int | None = None
     max_iterations: int | None = None
-    improvement_tol: float = 1e-6
     patience: int = 3
     seed: int = 0
     projection: str = "ambient"
@@ -86,8 +88,6 @@ class SccConfig:
             raise ValueError("n_sample_sets must be at least n_clusters")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.improvement_tol < 0.0:
-            raise ValueError("improvement_tol must be nonnegative")
         if self.patience < 1:
             raise ValueError("patience must be at least 1")
         if self.seed < 0:
@@ -143,11 +143,13 @@ def sample_initial(
         )
     if n_sets < 1:
         raise ValueError("n_sets must be at least 1")
-    size = subspace_dim + 1
-    sets = np.empty((n_sets, size), dtype=np.int64)
-    for r in range(n_sets):
-        sets[r] = rng.choice(n_points, size=size, replace=False)
-    return sets
+    return _draw_sets([np.arange(n_points)], [n_sets], subspace_dim + 1, rng)
+
+
+def _draw_sets(pools, quotas, size: int, rng: np.random.Generator) -> np.ndarray:
+    """quotas[j] draws of ``size`` distinct indices from pools[j], pool by pool."""
+    draws = [rng.choice(pool, size=size, replace=False) for pool, quota in zip(pools, quotas) for _ in range(quota)]
+    return np.array(draws, dtype=np.int64).reshape(len(draws), size)
 
 
 def sigma_candidates(
@@ -204,15 +206,9 @@ def resample_within(
     size = subspace_dim + 1
     if n < size + 1:
         raise ValueError("not enough points to resample")
-    sets = np.empty((n_sets, size), dtype=np.int64)
-    row = 0
-    for j in range(k):
-        members = partition.members(j)
-        pool = members if members.size >= size else np.arange(n)
-        for _ in range(quotas[j]):
-            sets[row] = rng.choice(pool, size=size, replace=False)
-            row += 1
-    return sets
+    pools = [partition.members(j) for j in range(k)]
+    pools = [pool if pool.size >= size else np.arange(n) for pool in pools]
+    return _draw_sets(pools, quotas, size, rng)
 
 
 def _positive_floor(curv: np.ndarray) -> float:
@@ -277,7 +273,7 @@ def scc_run(data, config: SccConfig) -> SccResult:
         if best is None:
             best, improved = (partition, sigma_sq, q, error), True
         else:
-            improved = error < best[3] * (1.0 - config.improvement_tol) and best[3] > 0.0
+            improved = error < best[3] * (1.0 - _IMPROVEMENT_TOL) and best[3] > 0.0
             if error < best[3]:
                 best = (partition, sigma_sq, q, error)
         stalled = 0 if improved else stalled + 1

@@ -42,7 +42,6 @@ class EvalRecord:
     n_motions: int
     error_pct: float
     runs: int
-    mean_runtime: float = 0.0
 
     def __post_init__(self):
         if not 0.0 <= self.error_pct <= 100.0:

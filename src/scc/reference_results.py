@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .evaluation import AggregateRow
 
-__all__ = ["PUBLISHED_RESULTS", "SEQUENCE_COUNTS", "reference_rows", "reference_methods"]
+__all__ = ["PUBLISHED_RESULTS", "SEQUENCE_COUNTS", "reference_rows"]
 
 # method -> category -> (mean_pct, median_pct)
 PUBLISHED_RESULTS: dict[int, dict[str, dict[str, tuple[float, float]]]] = {
@@ -195,21 +195,14 @@ SEQUENCE_COUNTS: dict[int, dict[str, int]] = {
 }
 
 
-def reference_methods(motions: int) -> list[str]:
-    return list(PUBLISHED_RESULTS.get(motions, {}))
-
-
-def reference_rows(motions: int, methods: list[str] | None = None) -> dict[str, list[AggregateRow]]:
+def reference_rows(motions: int) -> dict[str, list[AggregateRow]]:
     """Published results shaped like ``evaluation.aggregate`` output."""
     table = PUBLISHED_RESULTS.get(motions, {})
     counts = SEQUENCE_COUNTS.get(motions, {})
-    chosen = methods if methods is not None else list(table)
     out: dict[str, list[AggregateRow]] = {}
-    for method in chosen:
-        if method not in table:
-            raise KeyError(f"no published results for method {method!r} with {motions} motions")
+    for method, results in table.items():
         rows = []
-        for category, (mean_pct, median_pct) in table[method].items():
+        for category, (mean_pct, median_pct) in results.items():
             rows.append(
                 AggregateRow(category, motions, counts.get(category, 0), mean_pct, median_pct)
             )

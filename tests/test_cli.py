@@ -170,15 +170,7 @@ def test_bench_parallel_workers_match_serial(tmp_path):
     data_dir = _make_suite(tmp_path)
     out_serial, out_parallel = tmp_path / "serial", tmp_path / "parallel"
     assert _run_bench(data_dir, out_serial) == 0
-    env_before = os.environ.get("SCC_THREADS")
-    os.environ["SCC_THREADS"] = "2"
-    try:
-        assert _run_bench(data_dir, out_parallel, extra=["--workers", "2"]) == 0
-    finally:
-        if env_before is None:
-            os.environ.pop("SCC_THREADS", None)
-        else:
-            os.environ["SCC_THREADS"] = env_before
+    assert _run_bench(data_dir, out_parallel, extra=["--workers", "2"]) == 0
     assert (out_serial / "records.csv").read_bytes() == (out_parallel / "records.csv").read_bytes()
 
 
@@ -196,6 +188,30 @@ def test_report_regenerates_from_records(tmp_path):
     code = main(["report", "--records", str(out_dir / "records.csv"), "--out", str(regen)])
     assert code == 0
     assert (regen / "report.csv").read_bytes() == (out_dir / "report.csv").read_bytes()
+
+
+def test_report_regenerates_bench_tables_byte_for_byte(tmp_path, monkeypatch):
+    # four cell errors whose mean is exactly 17.65625: bench's report.csv says
+    # 17.6562, and records rounded to six decimals would regenerate 17.6563
+    data_dir = tmp_path / "suite"
+    data_dir.mkdir()
+    paths = [_synth(data_dir, f"t{i}.seq", K=2, N=20, D=6, d=2, seed=30 + i) for i in range(4)]
+    errors = [26.041666666666668, 10.416666666666666, 7.916666666666667, 26.25]
+    by_id = {load_sequence(p).sequence_id: e for p, e in zip(paths, errors)}
+
+    def fake_cell(payload):
+        record = payload[0]
+        return record.sequence_id, "SCC (2,4K)", by_id[record.sequence_id], 0.0
+
+    monkeypatch.setattr("scc.cli._bench_one", fake_cell)
+    out_dir, regen = tmp_path / "out", tmp_path / "regen"
+    assert _run_bench(data_dir, out_dir, extra=["--workers", "1"]) == 0
+    assert main(["report", "--records", str(out_dir / "records.csv"), "--out", str(regen)]) == 0
+    assert "17.6562" in (out_dir / "report.csv").read_text()
+    names = ["report.csv", "report.txt"] + sorted(p.name for p in out_dir.glob("hist_*.csv"))
+    assert len(names) == 3
+    for name in names:
+        assert (regen / name).read_bytes() == (out_dir / name).read_bytes(), name
 
 
 def test_report_with_reference_rows(tmp_path):

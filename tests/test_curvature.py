@@ -6,9 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scc.curvature import (
-    build_affinity,
+    affinity_from_curvatures,
     curvature_matrix,
-    curvature_vector,
     pairwise_weights,
     polar_curvature_sq,
     simplex_gram_det,
@@ -184,44 +183,14 @@ def test_curvature_matrix_flat_dim_zero_is_squared_distance():
         assert member[:, r].sum() == 1 and member[j, r]
 
 
-def test_curvature_vector_shape_and_sorting():
-    data, sets = _random_case(13)
-    vec = curvature_vector(data, sets)
-    n, c, d = data.shape[1], sets.shape[0], sets.shape[1] - 1
-    assert vec.shape == ((n - d - 1) * c,)
-    assert (np.diff(vec) >= 0).all()
-
-
-def test_curvature_vector_is_permutation_of_direct_values():
-    data, sets = _random_case(14)
-    vec = curvature_vector(data, sets)
-    d = sets.shape[1] - 1
-    direct = []
-    for r in range(sets.shape[0]):
-        for i in range(data.shape[1]):
-            if i in sets[r]:
-                continue
-            tup = np.column_stack([data[:, i], data[:, sets[r]]])
-            direct.append(polar_curvature_sq(tup, d))
-    assert np.allclose(vec, np.sort(direct), rtol=1e-8, atol=1e-12)
-
-
 def test_curvature_vector_flat_data_is_tiny():
     rng = np.random.default_rng(15)
     data = random_flat_tuple(rng, 2, 8, 30)
     sets = np.array([rng.choice(30, size=3, replace=False) for _ in range(10)])
-    vec = curvature_vector(data, sets)
+    curv, member = curvature_matrix(data, sets)
     norms = np.einsum("ij,ij->j", data, data)
     diam_sq = (norms[:, None] + norms[None, :] - 2 * data.T @ data).max()
-    assert vec[-1] <= 1e-8 * diam_sq**2
-
-
-def test_curvature_vector_needs_complement_points():
-    rng = np.random.default_rng(16)
-    data = rng.standard_normal((3, 4))
-    sets = np.array([[0, 1, 2, 3]])
-    with pytest.raises(ValueError):
-        curvature_vector(data, sets)
+    assert curv[~member].max() <= 1e-8 * diam_sq**2
 
 
 def test_sample_set_validation():
@@ -235,7 +204,7 @@ def test_sample_set_validation():
 
 def test_affinity_member_entries_are_zero():
     data, sets = _random_case(17)
-    aff = build_affinity(data, sets, 1.0)
+    aff = affinity_from_curvatures(*curvature_matrix(data, sets), 1.0)
     for r in range(sets.shape[0]):
         assert (aff[sets[r], r] == 0.0).all()
     assert (aff >= 0.0).all() and (aff <= 1.0).all()
@@ -245,7 +214,7 @@ def test_affinity_on_flat_point_is_one():
     rng = np.random.default_rng(18)
     data = random_flat_tuple(rng, 1, 4, 10)
     sets = np.array([[0, 1], [2, 3]])
-    aff = build_affinity(data, sets, 0.5)
+    aff = affinity_from_curvatures(*curvature_matrix(data, sets), 0.5)
     mask = np.ones(10, dtype=bool)
     mask[[0, 1]] = False
     assert np.all(aff[mask, 0] >= 1.0 - 1e-6)
@@ -257,23 +226,23 @@ def test_affinity_exponent_plug_in():
     curv = polar_curvature_sq(pts, 1)
     data = np.column_stack([pts, [5.0, 9.0]])  # extra point so the set has a complement
     sets = np.array([[1, 2]])
-    aff = build_affinity(data, sets, curv / 2.0)
+    aff = affinity_from_curvatures(*curvature_matrix(data, sets), curv / 2.0)
     assert aff[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_affinity_rejects_bad_sigma():
-    data, sets = _random_case(19)
+    curv, member = curvature_matrix(*_random_case(19))
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
-            build_affinity(data, sets, bad)
+            affinity_from_curvatures(curv, member, bad)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), bump=st.floats(0.1, 10.0))
 def test_affinity_monotone_in_sigma(seed, bump):
-    data, sets = _random_case(seed % 100)
-    low = build_affinity(data, sets, 0.7)
-    high = build_affinity(data, sets, 0.7 + bump)
+    curv, member = curvature_matrix(*_random_case(seed % 100))
+    low = affinity_from_curvatures(curv, member, 0.7)
+    high = affinity_from_curvatures(curv, member, 0.7 + bump)
     assert (high >= low - 1e-15).all()
 
 

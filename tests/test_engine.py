@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scc.curvature import curvature_matrix
 from scc.dataio import SynthSpec, synth_subspace_mixture
 from scc.engine import (
     SccConfig,
@@ -66,6 +67,15 @@ def test_sample_initial_deterministic():
 def test_sample_initial_requires_complement():
     with pytest.raises(ValueError):
         sample_initial(4, 3, 5, np.random.default_rng(0))
+
+
+def test_sample_initial_is_resampling_within_one_cluster():
+    for n in (5, 50, 600):
+        data = np.zeros((2, n))
+        one = Partition(np.zeros(n, dtype=int), 1)
+        a = sample_initial(n, 3, 40, np.random.default_rng(n))
+        b = resample_within(one, data, 3, 40, np.random.default_rng(n))
+        assert np.array_equal(a, b)
 
 
 def test_sigma_candidate_positions():
@@ -176,6 +186,23 @@ def test_sweep_tie_breaks_to_smallest_q():
     _, _, q, err = sweep_and_cluster(data, sets, cfg)
     assert err <= 1e-18
     assert q == 1
+
+
+def test_sweep_replaces_a_zero_candidate_with_the_positive_floor():
+    # two exactly representable lines, each subset an adjacent pair on one line:
+    # 360 of the 760 curvatures are exactly 0, so candidate q=2 is sigma^2 = 0,
+    # which the affinity kernel rejects unless the sweep substitutes a floor
+    t = np.arange(1.0, 21.0)
+    zeros = np.zeros(20)
+    data = np.hstack([np.vstack([t, zeros, zeros]), np.vstack([zeros, t, np.full(20, 5.0)])])
+    sets = np.array([[i, i + 1] for i in range(0, 40, 2)])
+    curv, member = curvature_matrix(data, sets)
+    assert sigma_candidates(curv[~member], 40, 1, 20, 2)[1] == 0.0
+    cfg = SccConfig(subspace_dim=1, n_clusters=2, n_sample_sets=20, seed=0)
+    part, sigma_sq, _, err = sweep_and_cluster(data, sets, cfg)
+    assert np.isfinite(sigma_sq) and sigma_sq > 0.0
+    assert err == 0.0
+    assert misclassification_rate(part, Partition(np.repeat([0, 1], 20), 2)) == 0.0
 
 
 def test_scc_run_noiseless_mixture():

@@ -199,6 +199,6 @@ def test_published_reference_values():
     three = PUBLISHED_RESULTS[3]
     assert three["SCC (4,5)"]["All"] == (4.85, 2.01)
     assert three["ALC 5"]["All"] == (6.26, 1.02)
-    rows = reference_rows(2, ["SCC (4,2F)"])["SCC (4,2F)"]
+    rows = reference_rows(2)["SCC (4,2F)"]
     all_row = [r for r in rows if r.category == "All"][0]
     assert all_row.mean_pct == 1.41 and all_row.n_sequences == 120

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from scc.curvature import build_affinity, pairwise_weights
+from scc.curvature import affinity_from_curvatures, curvature_matrix, pairwise_weights
 from scc.engine import sample_initial, sigma_candidates
-from scc.curvature import curvature_vector
 from scc.evaluation import misclassification_rate
 from scc.geometry import Partition
 from scc.spectral import _factored_embedding, kmeans, spectral_cluster, spectral_cluster_factored
@@ -55,9 +54,9 @@ def _parallel_lines(seed, n_per_line=20, gap=0.2, noise=0.02):
 def test_two_parallel_lines_recovered_over_seeds():
     data, truth = _parallel_lines(seed=42)
     sets = sample_initial(data.shape[1], 1, 80, np.random.default_rng(7))
-    vec = curvature_vector(data, sets)
-    sigma_sq = sigma_candidates(vec, data.shape[1], 1, 80, 2)[1]
-    w = pairwise_weights(build_affinity(data, sets, sigma_sq))
+    curv, member = curvature_matrix(data, sets)
+    sigma_sq = sigma_candidates(curv[~member], data.shape[1], 1, 80, 2)[1]
+    w = pairwise_weights(affinity_from_curvatures(curv, member, sigma_sq))
     for seed in range(20):
         part = spectral_cluster(w, 2, seed, data=data, subspace_dim=1)
         assert misclassification_rate(part, truth) == 0.0
