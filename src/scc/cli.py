@@ -9,8 +9,11 @@ JSON-lines record, and to bench's timings.csv, never into the result files.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import ctypes
 import json
+import re
 import sys
 import time
 import traceback
@@ -48,6 +51,11 @@ DEFAULT_REPEATS = 100
 DEFAULT_REGIMES = ("3,d+1", "3,4K", "3,2F", "4,d+1", "4,4K", "4,2F")
 DEFAULT_BIN_EDGES = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 100.0]
 _RECORD_COLUMNS = ["method", "sequence", "category", "motions", "error_pct", "runs"]
+_OPENBLAS_THREAD_SYMBOLS = [
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_")
+    for suffix in ("64_", "")
+]
 
 EXIT_INTERNAL = 1
 EXIT_PARSE = 2
@@ -78,6 +86,60 @@ def _parse_regime(text: str) -> tuple[int, str]:
     return dim, "2F" if proj.lower() in ("2f", "ambient") else ("4K" if proj.lower() == "4k" else "d+1")
 
 
+# ---------------------------------------------------------------- BLAS threads
+#
+# A multi-threaded OpenBLAS splits a product differently at each thread
+# count, so its sums round differently and a near-tie in k-means can fall
+# the other way. The commands that write results therefore run every
+# scc_run on one OpenBLAS thread, which also keeps bench's pool workers
+# from oversubscribing the cores. Library callers of scc_run keep their own
+# threading.
+
+
+def _blas_thread_controls() -> list[tuple]:
+    """The (get, set) thread-count functions of each OpenBLAS in this process.
+
+    numpy and scipy may each load their own OpenBLAS, with its own thread
+    pool. The list is empty without /proc/self/maps or without an OpenBLAS.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            maps = handle.read()
+    except OSError:
+        return []
+    controls = []
+    for path in sorted(set(re.findall(r"(/\S*openblas\S*\.so\S*)", maps))):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return controls
+
+
+def _pin_one_blas_thread() -> None:
+    """Set every OpenBLAS in this process to one thread (bench's pool initializer)."""
+    for _, set_threads in _blas_thread_controls():
+        set_threads(1)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the previous counts."""
+    controls = _blas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, previous):
+            set_threads(count)
+
+
 # ---------------------------------------------------------------- cluster
 
 
@@ -92,7 +154,8 @@ def cmd_cluster(args) -> int:
         projection=args.proj,
     )
     start = time.perf_counter()
-    result = scc_run(record.trajectories, config)
+    with _one_blas_thread():
+        result = scc_run(record.trajectories, config)
     elapsed = time.perf_counter() - start
 
     labels_path = Path(args.out) if args.out else Path(f"{record.sequence_id}.labels.txt")
@@ -185,6 +248,8 @@ def _bench_one(payload) -> tuple[str, str, float, float]:
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError("--repeats must be at least 1")
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
     data_dir = Path(args.data)
     paths = sorted(data_dir.glob("*.seq"))
     if not paths:
@@ -193,6 +258,7 @@ def cmd_bench(args) -> int:
 
     regimes = [_parse_regime(r) for r in (args.regimes or DEFAULT_REGIMES)]
     sequences: list[SequenceRecord] = []
+    id_paths: dict[str, Path] = {}
     for path in paths:
         try:
             record = load_sequence(path)
@@ -202,6 +268,10 @@ def cmd_bench(args) -> int:
         if record.truth_labels is None:
             _log(f"warning: skipping {path.name}: no ground-truth labels")
             continue
+        # records, reports and per-trial seeds are all keyed by the header id
+        first = id_paths.setdefault(record.sequence_id, path)
+        if first != path:
+            raise ValueError(f"{first.name} and {path.name} share the sequence id {record.sequence_id!r}")
         sequences.append(record)
     if not sequences:
         _log("error: no labeled sequences to benchmark")
@@ -212,11 +282,14 @@ def cmd_bench(args) -> int:
         for record in sequences
         for dim, proj in regimes
     ]
+    # each worker pins itself; the parent's threads are left alone, since
+    # raising a count again wakes OpenBLAS threads that spin for a while
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=args.workers, initializer=_pin_one_blas_thread) as pool:
             outcomes = list(pool.map(_bench_one, tasks))
     else:
-        outcomes = [_bench_one(task) for task in tasks]
+        with _one_blas_thread():
+            outcomes = [_bench_one(task) for task in tasks]
 
     meta = {rec.sequence_id: rec for rec in sequences}
     out_dir = Path(args.out)

@@ -4,8 +4,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from scc.cli import main
-from scc.dataio import load_sequence
+import numpy as np
+import scipy
+
+from scc.cli import _bench_one, _blas_thread_controls, main
+from scc.dataio import SynthSpec, load_sequence, save_sequence, synth_affine_motion
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -172,6 +175,118 @@ def test_bench_parallel_workers_match_serial(tmp_path):
     assert _run_bench(data_dir, out_serial) == 0
     assert _run_bench(data_dir, out_parallel, extra=["--workers", "2"]) == 0
     assert (out_serial / "records.csv").read_bytes() == (out_parallel / "records.csv").read_bytes()
+
+
+def test_bench_rejects_duplicate_sequence_ids(tmp_path, capsys):
+    # a K=2 and a K=3 file under one header id would merge into one record key
+    data_dir = tmp_path / "suite"
+    data_dir.mkdir()
+    two = _synth(data_dir, "two.seq", K=2, N=40, D=6, d=2, seed=20)
+    three = _synth(data_dir, "three.seq", K=3, N=60, D=6, d=2, seed=21)
+    lines = three.read_text().splitlines()
+    header = lines[0].split()
+    header[1] = load_sequence(two).sequence_id
+    three.write_text("\n".join([" ".join(header)] + lines[1:]) + "\n")
+    capsys.readouterr()
+    assert _run_bench(data_dir, tmp_path / "out") == 3
+    err = capsys.readouterr().err
+    assert "two.seq" in err and "three.seq" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_rejects_fewer_than_one_worker(tmp_path):
+    data_dir = _make_suite(tmp_path)
+    for workers in ("0", "-2"):
+        assert _run_bench(data_dir, tmp_path / f"out{workers}", extra=["--workers", workers]) == 3
+        assert not (tmp_path / f"out{workers}").exists()
+
+
+def _thread_counts(controls):
+    return [get() for get, _ in controls]
+
+
+def test_blas_thread_controls_find_every_openblas():
+    # a renamed wheel symbol would otherwise turn the pin into a silent no-op
+    configs = [np.show_config(mode="dicts"), scipy.show_config(mode="dicts")]
+    blas = [config["Build Dependencies"]["blas"] for config in configs]
+    libraries = {b["lib directory"] for b in blas if "openblas" in b["name"].lower()}
+    assert len(_blas_thread_controls()) == len(libraries)
+
+
+def test_bench_pins_cells_to_one_blas_thread(tmp_path, monkeypatch):
+    controls = _blas_thread_controls()
+    previous = _thread_counts(controls)
+    for _, set_threads in controls:
+        set_threads(2)
+    try:
+        before = _thread_counts(controls)
+        data_dir = _make_suite(tmp_path)
+        # the pool workers pin themselves; the parent's counts never change
+        assert _run_bench(data_dir, tmp_path / "pool", extra=["--workers", "2"]) == 0
+        assert _thread_counts(controls) == before
+
+        seen = []
+
+        def spy(payload):
+            seen.append(_thread_counts(controls))
+            return _bench_one(payload)
+
+        monkeypatch.setattr("scc.cli._bench_one", spy)
+        assert _run_bench(data_dir, tmp_path / "serial", extra=["--workers", "1"]) == 0
+        assert len(seen) == 3
+        assert all(counts == [1] * len(controls) for counts in seen)
+        assert _thread_counts(controls) == before
+    finally:
+        for (_, set_threads), count in zip(controls, previous):
+            set_threads(count)
+
+
+def _write_motion_seq(directory):
+    # a three-body sequence whose SCC (4,2F) partition differs between one
+    # and two unpinned OpenBLAS threads
+    spec = SynthSpec(n_clusters=3, points_per_cluster=120, n_frames=30, noise_sigma=0.002, seed=111)
+    directory.mkdir()
+    path = directory / "motion.seq"
+    save_sequence(path, synth_affine_motion(spec))
+    return path
+
+
+def _run_module(args, blas_threads):
+    env = dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS=str(blas_threads))
+    proc = subprocess.run(
+        [sys.executable, "-m", "scc", *args], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_bench_records_do_not_depend_on_blas_threads_or_workers(tmp_path):
+    data_dir = _write_motion_seq(tmp_path / "data").parent
+    records = set()
+    for threads in (1, 2):
+        for workers in (1, 2):
+            out_dir = tmp_path / f"out-{threads}-{workers}"
+            _run_module(
+                ["bench", "--data", str(data_dir), "--out", str(out_dir), "--regimes", "4,2F",
+                 "--repeats", "1", "--seed", "1", "--max-iterations", "4",
+                 "--workers", str(workers)],
+                threads,
+            )
+            records.add((out_dir / "records.csv").read_bytes())
+    assert len(records) == 1
+
+
+def test_cluster_labels_do_not_depend_on_blas_threads(tmp_path):
+    seq = _write_motion_seq(tmp_path / "data")
+    labels = set()
+    for threads in (1, 2):
+        out = tmp_path / f"labels-{threads}.txt"
+        _run_module(
+            ["cluster", "--in", str(seq), "--d", "4", "--K", "3", "--proj", "2F",
+             "--seed", "0", "--out", str(out)],
+            threads,
+        )
+        labels.add(out.read_bytes())
+    assert len(labels) == 1
 
 
 def test_bench_empty_directory_fails(tmp_path):
