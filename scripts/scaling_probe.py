@@ -1,9 +1,11 @@
 #!/usr/bin/env python3
 """Wall-time scaling probe: how runtime responds to doubling N or c.
 
-Times complete clustering runs with a fixed iteration count, interleaving
-the configurations so load drift affects all of them alike, and prints the
-median ratios. Near-linear scaling in both N and c shows up as ratios
+Times complete clustering runs on the cases of the acceptance gate
+``tests/test_acceptance.py::test_complexity_scaling`` (the same data seed,
+run seed and iteration count), interleaving the configurations so load
+drift affects all of them alike, and prints the median ratios the gate
+bounds to [1.5, 3]. Near-linear scaling in both N and c shows up as ratios
 close to 2.
 
     python scripts/scaling_probe.py --base-n 200 --base-c 200 --runs 5
@@ -16,38 +18,24 @@ from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from scc.dataio import SynthSpec, synth_subspace_mixture
-from scc.engine import SccConfig, scc_run
-
-
-def make_case(n_total: int, n_sets: int, ambient_dim: int, seed: int):
-    spec = SynthSpec(
-        n_clusters=2, points_per_cluster=n_total // 2, subspace_dim=3,
-        ambient_dim=ambient_dim, noise_sigma=0.03, seed=seed,
-    )
-    data, _ = synth_subspace_mixture(spec)
-    config = SccConfig(
-        subspace_dim=3, n_clusters=2, n_sample_sets=n_sets,
-        max_iterations=5, patience=10, seed=seed,
-    )
-    return data, config
+from scc.engine import scc_run
+from test_acceptance import _scaling_case
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--base-n", type=int, default=200)
     parser.add_argument("--base-c", type=int, default=200)
-    parser.add_argument("--ambient-dim", type=int, default=20)
     parser.add_argument("--runs", type=int, default=5)
-    parser.add_argument("--seed", type=int, default=3)
     args = parser.parse_args()
 
     cases = {
-        "base": make_case(args.base_n, args.base_c, args.ambient_dim, args.seed),
-        "2N": make_case(2 * args.base_n, args.base_c, args.ambient_dim, args.seed),
-        "2c": make_case(args.base_n, 2 * args.base_c, args.ambient_dim, args.seed),
+        "base": _scaling_case(args.base_n, args.base_c),
+        "2N": _scaling_case(2 * args.base_n, args.base_c),
+        "2c": _scaling_case(args.base_n, 2 * args.base_c),
     }
     for data, config in cases.values():
         scc_run(data, config)  # warm-up

@@ -61,7 +61,9 @@ class SequenceRecord:
 
     Column j stacks the image coordinates of feature j over all frames.
     ``truth_labels`` is present only when the file carried a LABELS row;
-    ``n_motions`` is 0 when unknown.
+    ``n_motions`` is 0 when unknown. With truth labels, ``n_motions`` is
+    their cluster count: a 0 is filled in from them, and any other value
+    that disagrees raises ValueError.
     """
 
     sequence_id: str
@@ -83,10 +85,18 @@ class SequenceRecord:
                 f"trajectory matrix has shape {traj.shape}, expected "
                 f"({2 * self.n_frames}, {self.n_points})"
             )
-        if self.truth_labels is not None and self.truth_labels.size != self.n_points:
-            raise ValueError("truth labels do not match the number of points")
         if self.n_motions < 0:
             raise ValueError("n_motions must be nonnegative")
+        if self.truth_labels is not None:
+            if self.truth_labels.size != self.n_points:
+                raise ValueError("truth labels do not match the number of points")
+            if self.n_motions == 0:
+                object.__setattr__(self, "n_motions", self.truth_labels.n_clusters)
+            elif self.n_motions != self.truth_labels.n_clusters:
+                raise ValueError(
+                    f"n_motions={self.n_motions} but truth labels have "
+                    f"{self.truth_labels.n_clusters} clusters"
+                )
         object.__setattr__(self, "trajectories", traj)
 
 
@@ -199,7 +209,6 @@ def sequence_from_matrix(
         trajectories=X,
         truth_labels=labels,
         category=category,
-        n_motions=labels.n_clusters if labels is not None else 0,
     )
 
 
@@ -341,7 +350,6 @@ def synth_affine_motion(spec: SynthSpec) -> SequenceRecord:
         trajectories=trajectories,
         truth_labels=labels,
         category="synthetic",
-        n_motions=k,
     )
     return record
 

@@ -212,7 +212,7 @@ def resample_within(
 
 
 def _positive_floor(curv: np.ndarray) -> float:
-    """Smallest positive finite curvature, used when a candidate sigma^2 is zero."""
+    """Smallest positive finite curvature, used when a candidate sigma^2 is zero or infinite."""
     floor = float(np.min(curv, where=(curv > 0.0) & np.isfinite(curv), initial=np.inf))
     return floor if np.isfinite(floor) else 1.0
 
@@ -237,7 +237,9 @@ def sweep_and_cluster(
 
     best = None
     for q, sigma_sq in enumerate(candidates, start=1):
-        if not sigma_sq > 0.0:  # exact-fit curvatures can be zero; keep the kernel usable
+        # exact fits give zero curvatures and duplicated points +inf ones;
+        # either as sigma^2 would make the kernel unusable
+        if not 0.0 < sigma_sq < math.inf:
             sigma_sq = floor_sigma
         affinity = affinity_from_curvatures(curv, member, sigma_sq)
         seed_q = seeding.derived_seed(config.seed, _STREAM_SPECTRAL, iteration, q)

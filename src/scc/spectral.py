@@ -2,9 +2,11 @@
 
 Implements the symmetric-normalization variant: rows are embedded with the
 top-K eigenvectors of Deg^{-1/2} W Deg^{-1/2}, row-normalized, and clustered
-by seeded k-means with restarts. For W = A A^T given by its (N, c) affinity
-factor A, the embedding comes from the smaller side of B = Deg^{-1/2} A
-(the left singular vectors of B), so the N x N matrix is never formed.
+by k-means whose restarts are drawn in sequence from one seeded generator
+per call (the earlier restart wins a tie in cost). For W = A A^T given by
+its (N, c) affinity factor A, the embedding comes from the smaller side of
+B = Deg^{-1/2} A (the left singular vectors of B), so the N x N matrix is
+never formed.
 Points with zero degree (all-zero weight rows) get a zero embedding row;
 when the original data and the subspace dimension are supplied they are
 re-attached afterwards to the cluster whose fitted subspace is nearest.
@@ -42,9 +44,9 @@ def _plus_plus_init(
     centers[0] = rows[rng.integers(n)]
     d2 = _sq_distances(rows, row_norms, centers[:1])[:, 0]
     for j in range(1, k):
-        total = d2.sum()
-        if total > 0.0:
-            idx = rng.choice(n, p=d2 / total)
+        cumulative = np.cumsum(d2)
+        if cumulative[-1] > 0.0:  # inverse CDF of D^2; a zero-weight row is never picked
+            idx = cumulative.searchsorted(rng.random() * cumulative[-1], side="right")
         else:
             idx = rng.integers(n)
         centers[j] = rows[idx]
@@ -54,7 +56,8 @@ def _plus_plus_init(
 
 def _lloyd(
     rows: np.ndarray, row_norms: np.ndarray, centers: np.ndarray, max_iter: int
-) -> np.ndarray:
+) -> tuple[np.ndarray, float]:
+    """Lloyd iterations from ``centers``; returns the labels and their WCSS."""
     n, k = rows.shape[0], centers.shape[0]
     labels = None
     for _ in range(max_iter):
@@ -75,26 +78,17 @@ def _lloyd(
         sums = np.zeros_like(centers)
         np.add.at(sums, labels, rows)
         centers = sums / counts[:, None]
-    return labels
-
-
-def _wcss(rows: np.ndarray, labels: np.ndarray, k: int) -> float:
-    cost = 0.0
-    for j in range(k):
-        members = rows[labels == j]
-        if members.shape[0] == 0:
-            continue
-        centered = members - members.mean(axis=0)
-        cost += float(np.einsum("ij,ij->", centered, centered))
-    return cost
+    offsets = rows - centers[labels]  # centers are the means of the final labels
+    return labels, float(np.einsum("ij,ij->", offsets, offsets))
 
 
 def kmeans(rows, n_clusters: int, seed: int) -> Partition:
     """Seeded k-means on the rows of a matrix; deterministic for fixed inputs.
 
-    Runs Lloyd iterations from a squared-distance-weighted seeded
-    initialization, with multiple restarts, and keeps the labeling of
-    smallest within-cluster sum of squares.
+    One generator per call feeds every restart in sequence: each restart
+    draws a D^2-weighted (k-means++) initialization and runs Lloyd
+    iterations. The labeling of smallest within-cluster sum of squares is
+    kept, and on a tie the earlier restart wins.
     """
     mat = np.asarray(rows, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] < 1:
@@ -106,17 +100,12 @@ def kmeans(rows, n_clusters: int, seed: int) -> Partition:
         raise ValueError(f"cannot split {n} rows into {n_clusters} clusters")
 
     row_norms = np.einsum("ij,ij->i", mat, mat)
+    rng = seeding.generator(seed, 101)
     best_labels, best_cost = None, np.inf
-    found: list[np.ndarray] = []
-    for restart in range(KMEANS_RESTARTS):
-        rng = seeding.generator(seed, 101, restart)
+    for _ in range(KMEANS_RESTARTS):
         centers = _plus_plus_init(mat, row_norms, n_clusters, rng)
-        labels = _lloyd(mat, row_norms, centers.copy(), KMEANS_MAX_ITER)
-        if any(np.array_equal(labels, earlier) for earlier in found):
-            continue  # a repeated labeling has the same cost and cannot win
-        found.append(labels)
-        cost = _wcss(mat, labels, n_clusters)
-        if cost < best_cost:
+        labels, cost = _lloyd(mat, row_norms, centers, KMEANS_MAX_ITER)
+        if cost < best_cost:  # strict, so a tie keeps the earlier restart
             best_cost, best_labels = cost, labels
     return Partition(best_labels, n_clusters)
 

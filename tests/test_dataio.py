@@ -68,6 +68,18 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert (tmp_path / "rt.seq").read_bytes() == (tmp_path / "rt2.seq").read_bytes()
 
 
+def test_n_motions_follows_truth_labels(tmp_path):
+    fields = dict(sequence_id="nm", n_frames=1, n_points=4, trajectories=np.zeros((2, 4)))
+    truth = Partition(np.array([0, 1, 1, 0]), 2)
+    record = SequenceRecord(**fields, truth_labels=truth)
+    assert record.n_motions == 2
+    save_sequence(tmp_path / "nm.seq", record)
+    assert load_sequence(tmp_path / "nm.seq").truth_labels.n_clusters == 2
+    with pytest.raises(ValueError, match="n_motions"):
+        SequenceRecord(**fields, truth_labels=truth, n_motions=3)
+    assert SequenceRecord(**fields, n_motions=3).n_motions == 3  # no labels, nothing to check
+
+
 @pytest.mark.parametrize(
     "mutate, line_no",
     [

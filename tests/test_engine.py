@@ -205,6 +205,17 @@ def test_sweep_replaces_a_zero_candidate_with_the_positive_floor():
     assert misclassification_rate(part, Partition(np.repeat([0, 1], 20), 2)) == 0.0
 
 
+def test_scc_run_bandwidth_is_finite_on_two_repeated_points():
+    # 20 copies of one point and 10 of another: most tuples hold a duplicate,
+    # so candidate q=1 is sigma^2 = +inf, which the sweep must replace like a zero
+    a = np.array([1.0, 2.0, 3.0])
+    data = np.hstack([np.repeat(a[:, None], 20, axis=1), np.repeat(-2.0 * a[:, None], 10, axis=1)])
+    result = scc_run(data, SccConfig(subspace_dim=1, n_clusters=2, seed=0))
+    assert np.isfinite(result.sigma_sq_chosen) and result.sigma_sq_chosen > 0.0
+    assert result.ols_error == 0.0
+    assert misclassification_rate(result.partition, Partition(np.repeat([0, 1], [20, 10]), 2)) == 0.0
+
+
 def test_scc_run_noiseless_mixture():
     spec = SynthSpec(n_clusters=2, points_per_cluster=60, subspace_dim=2, ambient_dim=6, seed=7)
     data, truth = synth_subspace_mixture(spec)

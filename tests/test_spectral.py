@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from scc.curvature import affinity_from_curvatures, curvature_matrix, pairwise_w
 from scc.engine import sample_initial, sigma_candidates
 from scc.evaluation import misclassification_rate
 from scc.geometry import Partition
-from scc.spectral import _factored_embedding, kmeans, spectral_cluster, spectral_cluster_factored
+from scc.spectral import _factored_embedding, _lloyd, kmeans, spectral_cluster, spectral_cluster_factored
 
 from oracles import labeling_cost
 
@@ -171,6 +173,22 @@ def test_kmeans_deterministic():
     a = kmeans(rows, 4, seed=9)
     b = kmeans(rows, 4, seed=9)
     assert np.array_equal(a.labels, b.labels)
+
+
+def test_lloyd_cost_is_the_wcss_of_its_labels():
+    rng = np.random.default_rng(3)
+    spread = rng.standard_normal((40, 3))
+    two_values = np.repeat([[0.25, -1.5], [1.0, 0.75]], [6, 5], axis=0)
+    # starting centers (A, B, A) leave center 2 with no rows, so the repair runs
+    cases = [(spread, spread[:4]), (two_values, two_values[[0, 6, 0]])]
+    noisy = two_values + 1e-3 * rng.standard_normal(two_values.shape)
+    cases.append((noisy, noisy[[0, 6, 0]]))
+    # one iteration stops before convergence, 100 runs to it
+    for (rows, centers), max_iter in itertools.product(cases, (1, 100)):
+        k = len(centers)
+        labels, cost = _lloyd(rows, np.einsum("ij,ij->i", rows, rows), centers.copy(), max_iter)
+        assert np.bincount(labels, minlength=k).min() >= 1
+        assert cost == pytest.approx(labeling_cost(rows, labels, k), rel=1e-12)
 
 
 def test_kmeans_validation():
