@@ -15,7 +15,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from scc.cli import main as scc_main
-from scc.dataio import SynthSpec, save_sequence, sequence_from_matrix, synth_affine_motion, synth_subspace_mixture
+from scc.dataio import SequenceRecord, SynthSpec, save_sequence, synth_affine_motion, synth_subspace_mixture
 
 
 def build_suite(data_dir: Path, seed: int) -> None:
@@ -34,7 +34,7 @@ def build_suite(data_dir: Path, seed: int) -> None:
             noise_sigma=0.01, seed=seed + 10 + i,
         )
         data, labels = synth_subspace_mixture(spec)
-        record = sequence_from_matrix(data, labels, f"mixture-K{k}-seed{seed + 10 + i}")
+        record = SequenceRecord(f"mixture-K{k}-seed{seed + 10 + i}", data, labels)
         save_sequence(data_dir / f"{record.sequence_id}.seq", record)
 
 

@@ -29,11 +29,10 @@ from .dataio import (
     SynthSpec,
     load_sequence,
     save_sequence,
-    sequence_from_matrix,
     synth_affine_motion,
     synth_subspace_mixture,
 )
-from .engine import SccConfig, scc_run
+from .engine import SccConfig, _normalize_projection, scc_run
 from .evaluation import (
     AggregateRow,
     EvalRecord,
@@ -66,13 +65,19 @@ def _log(message: str) -> None:
     print(message, file=sys.stderr)
 
 
+def _regime_text(subspace_dim: int, projection: str) -> str:
+    """A regime as the paper writes it, e.g. "3,d+1", "3,4K" or "3,2F" (2F: the ambient space)."""
+    return f"{subspace_dim},{'2F' if projection == 'ambient' else projection}"
+
+
 def _regime_label(subspace_dim: int, projection: str) -> str:
     if projection == "d+1":
         return f"SCC ({subspace_dim},{subspace_dim + 1})"
-    return f"SCC ({subspace_dim},{projection})"
+    return f"SCC ({_regime_text(subspace_dim, projection)})"
 
 
 def _parse_regime(text: str) -> tuple[int, str]:
+    """'d,projection' -> (d, the engine's canonical projection name)."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"regime must look like 'd,projection', got {text!r}")
@@ -80,10 +85,7 @@ def _parse_regime(text: str) -> tuple[int, str]:
         dim = int(parts[0])
     except ValueError:
         raise ValueError(f"bad subspace dimension in regime {text!r}") from None
-    proj = parts[1].strip()
-    if proj.lower() not in ("d+1", "4k", "2f", "ambient"):
-        raise ValueError(f"bad projection in regime {text!r}; use d+1, 4K or 2F")
-    return dim, "2F" if proj.lower() in ("2f", "ambient") else ("4K" if proj.lower() == "4k" else "d+1")
+    return dim, _normalize_projection(parts[1])
 
 
 # ---------------------------------------------------------------- BLAS threads
@@ -188,6 +190,8 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.K < 1:
+        raise ValueError("--K must be at least 1")
     if args.N % args.K != 0:
         raise ValueError("--N must be divisible by --K (equal-size clusters)")
     spec = SynthSpec(
@@ -207,9 +211,7 @@ def cmd_synth(args) -> int:
         if args.D % 2 != 0:
             raise ValueError("mixture mode needs an even --D to store rows as coordinate pairs")
         data, labels = synth_subspace_mixture(spec)
-        record = sequence_from_matrix(
-            data, labels, f"mixture-K{args.K}-d{args.d}-D{args.D}-seed{args.seed}"
-        )
+        record = SequenceRecord(f"mixture-K{args.K}-d{args.d}-D{args.D}-seed{args.seed}", data, labels)
     out = Path(args.out) if args.out else Path(f"{record.sequence_id}.seq")
     out.parent.mkdir(parents=True, exist_ok=True)
     save_sequence(out, record)
@@ -319,7 +321,7 @@ def cmd_bench(args) -> int:
         "output_dir": str(out_dir),
         "repeats": args.repeats,
         "seed": args.seed,
-        "regimes": [f"{d},{p}" for d, p in regimes],
+        "regimes": [_regime_text(d, p) for d, p in regimes],
         "n_sample_sets": args.c,
         "files": sorted(emitted),
     }

@@ -29,7 +29,6 @@ __all__ = [
     "SynthSpec",
     "load_sequence",
     "save_sequence",
-    "sequence_from_matrix",
     "synth_subspace_mixture",
     "synth_affine_motion",
 ]
@@ -59,16 +58,16 @@ class SequenceParseError(ValueError):
 class SequenceRecord:
     """A tracked-feature sequence: 2F x N trajectory matrix plus metadata.
 
-    Column j stacks the image coordinates of feature j over all frames.
-    ``truth_labels`` is present only when the file carried a LABELS row;
-    ``n_motions`` is 0 when unknown. With truth labels, ``n_motions`` is
-    their cluster count: a 0 is filled in from them, and any other value
-    that disagrees raises ValueError.
+    Column j stacks the image coordinates of feature j over all frames, so
+    the matrix needs an even number of rows; ``n_frames`` (F) and
+    ``n_points`` (N) are read off its shape. ``truth_labels`` is present
+    only when the file carried a LABELS row; ``n_motions`` is 0 when
+    unknown. With truth labels, ``n_motions`` is their cluster count: a 0
+    is filled in from them, and any other value that disagrees raises
+    ValueError.
     """
 
     sequence_id: str
-    n_frames: int
-    n_points: int
     trajectories: np.ndarray
     truth_labels: Partition | None = None
     category: str = "synthetic"
@@ -77,14 +76,10 @@ class SequenceRecord:
     def __post_init__(self):
         if not self.sequence_id or any(ch.isspace() for ch in self.sequence_id):
             raise ValueError("sequence_id must be nonempty and contain no whitespace")
-        if self.n_frames < 1:
-            raise ValueError("n_frames must be at least 1")
         traj = as_data_matrix(self.trajectories)
-        if traj.shape != (2 * self.n_frames, self.n_points):
-            raise ValueError(
-                f"trajectory matrix has shape {traj.shape}, expected "
-                f"({2 * self.n_frames}, {self.n_points})"
-            )
+        if traj.shape[0] % 2 != 0:
+            raise ValueError(f"trajectory matrix has {traj.shape[0]} rows, expected an even number (2F)")
+        object.__setattr__(self, "trajectories", traj)
         if self.n_motions < 0:
             raise ValueError("n_motions must be nonnegative")
         if self.truth_labels is not None:
@@ -97,7 +92,14 @@ class SequenceRecord:
                     f"n_motions={self.n_motions} but truth labels have "
                     f"{self.truth_labels.n_clusters} clusters"
                 )
-        object.__setattr__(self, "trajectories", traj)
+
+    @property
+    def n_frames(self) -> int:
+        return self.trajectories.shape[0] // 2
+
+    @property
+    def n_points(self) -> int:
+        return self.trajectories.shape[1]
 
 
 def load_sequence(path) -> SequenceRecord:
@@ -172,8 +174,6 @@ def load_sequence(path) -> SequenceRecord:
 
     return SequenceRecord(
         sequence_id=seq_id,
-        n_frames=n_frames,
-        n_points=n_points,
         trajectories=rows,
         truth_labels=truth,
         category=category,
@@ -193,23 +193,6 @@ def save_sequence(path, record: SequenceRecord) -> None:
     for row in record.trajectories:
         lines.append(" ".join(f"{v:.17g}" for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-
-def sequence_from_matrix(
-    data, labels: Partition | None, sequence_id: str, category: str = "synthetic"
-) -> SequenceRecord:
-    """Wrap a (D, N) matrix as a sequence record; D must be even (D = 2F)."""
-    X = as_data_matrix(data)
-    if X.shape[0] % 2 != 0:
-        raise ValueError("ambient dimension must be even to store a matrix as a sequence")
-    return SequenceRecord(
-        sequence_id=sequence_id,
-        n_frames=X.shape[0] // 2,
-        n_points=X.shape[1],
-        trajectories=X,
-        truth_labels=labels,
-        category=category,
-    )
 
 
 @dataclass(frozen=True)
@@ -240,12 +223,12 @@ class SynthSpec:
             raise ValueError("subspace_dim must be at least 1")
         if self.points_per_cluster < self.subspace_dim + 2:
             raise ValueError("points_per_cluster must be at least subspace_dim + 2")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be nonnegative")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if self.rigid_motion_magnitude < 0.0:
-            raise ValueError("rigid_motion_magnitude must be nonnegative")
+        if not 0.0 <= self.rigid_motion_magnitude < math.inf:
+            raise ValueError("rigid_motion_magnitude must be finite and nonnegative")
 
 
 def _diameter(X: np.ndarray) -> float:
@@ -343,15 +326,11 @@ def synth_affine_motion(spec: SynthSpec) -> SequenceRecord:
     if spec.noise_sigma == 0.0:
         _check_affine_containment(trajectories, labels)
 
-    record = SequenceRecord(
+    return SequenceRecord(
         sequence_id=f"motion-K{k}-F{frames}-N{k * per}-seed{spec.seed}",
-        n_frames=frames,
-        n_points=k * per,
         trajectories=trajectories,
         truth_labels=labels,
-        category="synthetic",
     )
-    return record
 
 
 def _check_affine_containment(trajectories: np.ndarray, labels: Partition) -> None:

@@ -17,14 +17,7 @@ import numpy as np
 
 from . import seeding
 from .curvature import affinity_from_curvatures, curvature_matrix
-from .geometry import (
-    AffineSubspace,
-    Partition,
-    as_data_matrix,
-    fit_affine_ols,
-    project_pca,
-    total_ols_error,
-)
+from .geometry import Partition, as_data_matrix, project_pca, total_ols_error
 from .spectral import spectral_cluster_factored
 
 # Unused here; kept as engine attributes because perfbench/tracing.py wraps them by name.
@@ -32,7 +25,6 @@ from .curvature import pairwise_weights  # noqa: F401
 from .spectral import spectral_cluster  # noqa: F401
 
 __all__ = [
-    "PROJECTION_REGIMES",
     "SccConfig",
     "SccResult",
     "sample_initial",
@@ -41,9 +33,6 @@ __all__ = [
     "resample_within",
     "scc_run",
 ]
-
-# Projection regimes: ambient trajectory space (2F), PCA to 4K, or PCA to d+1.
-PROJECTION_REGIMES = ("ambient", "4K", "d+1")
 
 _STREAM_INITIAL = 0
 _STREAM_RESAMPLE = 1
@@ -54,6 +43,7 @@ _IMPROVEMENT_TOL = 1e-6
 
 
 def _normalize_projection(name: str) -> str:
+    """Canonical name of a regime alias, in any case: ambient (alias 2F), 4K or d+1."""
     canon = {"ambient": "ambient", "2f": "ambient", "4k": "4K", "d+1": "d+1"}
     key = str(name).strip().lower()
     if key not in canon:
@@ -116,21 +106,22 @@ class SccConfig:
 class SccResult:
     """Best partition found plus the diagnostics of the run.
 
-    All error values and the fitted subspaces refer to the working space of
-    the run, i.e. the data after the configured projection
-    (``working_dim`` rows). ``ols_error`` is the minimum of
-    ``per_iteration_errors``; ``subspaces`` holds one fit per cluster, None
-    for empty clusters.
+    All error values refer to the working space of the run, i.e. the data
+    after the configured projection (``working_dim`` rows). ``ols_error``
+    is the minimum of ``per_iteration_errors``, which holds one entry per
+    iteration run.
     """
 
     partition: Partition
     ols_error: float
     sigma_sq_chosen: float
     q_chosen: int
-    iterations_run: int
     per_iteration_errors: list[float] = field(repr=False)
-    subspaces: list[AffineSubspace | None] = field(repr=False)
     working_dim: int = 0
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.per_iteration_errors)
 
 
 def sample_initial(
@@ -260,8 +251,7 @@ def scc_run(data, config: SccConfig) -> SccResult:
     if n < config.n_clusters:
         raise ValueError("cannot ask for more clusters than points")
 
-    target = config.projection_dim(X.shape[0])
-    work = project_pca(X, target) if target < X.shape[0] else X
+    work = project_pca(X, config.projection_dim(X.shape[0]))
 
     c = config.sample_set_count
     sets = sample_initial(n, d, c, seeding.generator(config.seed, _STREAM_INITIAL, 0))
@@ -287,21 +277,11 @@ def scc_run(data, config: SccConfig) -> SccResult:
             )
 
     partition, sigma_sq, q, error = best
-    subspaces: list[AffineSubspace | None] = []
-    for k in range(partition.n_clusters):
-        members = partition.members(k)
-        if members.size == 0:
-            subspaces.append(None)
-        else:
-            subspaces.append(fit_affine_ols(work[:, members], min(d, members.size - 1)))
-
     return SccResult(
         partition=partition,
         ols_error=error,
         sigma_sq_chosen=sigma_sq,
         q_chosen=q,
-        iterations_run=len(per_iteration),
         per_iteration_errors=per_iteration,
-        subspaces=subspaces,
         working_dim=work.shape[0],
     )

@@ -54,7 +54,6 @@ class EvalRecord:
 class AggregateRow:
     category: str
     n_motions: int
-    n_sequences: int
     mean_pct: float
     median_pct: float
 
@@ -94,14 +93,10 @@ def aggregate(records: list[EvalRecord], motions: int) -> list[AggregateRow]:
     groups += sorted({r.category for r in selected} - set(CATEGORY_ORDER))
     for category in groups:
         errors = [r.error_pct for r in selected if r.category == category]
-        rows.append(
-            AggregateRow(category, motions, len(errors), float(np.mean(errors)), float(np.median(errors)))
-        )
+        rows.append(AggregateRow(category, motions, float(np.mean(errors)), float(np.median(errors))))
     if selected:
         errors = [r.error_pct for r in selected]
-        rows.append(
-            AggregateRow("All", motions, len(errors), float(np.mean(errors)), float(np.median(errors)))
-        )
+        rows.append(AggregateRow("All", motions, float(np.mean(errors)), float(np.median(errors))))
     return rows
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .evaluation import AggregateRow
 
-__all__ = ["PUBLISHED_RESULTS", "SEQUENCE_COUNTS", "reference_rows"]
+__all__ = ["PUBLISHED_RESULTS", "reference_rows"]
 
 # method -> category -> (mean_pct, median_pct)
 PUBLISHED_RESULTS: dict[int, dict[str, dict[str, tuple[float, float]]]] = {
@@ -188,23 +188,14 @@ PUBLISHED_RESULTS: dict[int, dict[str, dict[str, tuple[float, float]]]] = {
     },
 }
 
-# sequence counts per category in the benchmark, by motion count
-SEQUENCE_COUNTS: dict[int, dict[str, int]] = {
-    2: {"checkerboard": 78, "traffic": 31, "other": 11, "All": 120},
-    3: {"checkerboard": 26, "traffic": 7, "other": 2, "All": 35},
-}
-
 
 def reference_rows(motions: int) -> dict[str, list[AggregateRow]]:
     """Published results shaped like ``evaluation.aggregate`` output."""
     table = PUBLISHED_RESULTS.get(motions, {})
-    counts = SEQUENCE_COUNTS.get(motions, {})
     out: dict[str, list[AggregateRow]] = {}
     for method, results in table.items():
         rows = []
         for category, (mean_pct, median_pct) in results.items():
-            rows.append(
-                AggregateRow(category, motions, counts.get(category, 0), mean_pct, median_pct)
-            )
+            rows.append(AggregateRow(category, motions, mean_pct, median_pct))
         out[method] = rows
     return out

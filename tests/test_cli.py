@@ -48,6 +48,7 @@ def test_synth_rejects_bad_specs(tmp_path):
     assert main(
         ["synth", "--mode", "mixture", "--K", "2", "--N", "40", "--D", "7", "--out", str(out)]
     ) == 3
+    assert main(["synth", "--mode", "motion", "--K", "0", "--N", "40", "--out", str(out)]) == 3
 
 
 def test_cluster_writes_labels_and_diagnostics(tmp_path):
@@ -350,3 +351,9 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert "cluster" in proc.stdout and "bench" in proc.stdout
+    # no other test imports the scripts, so a removed name they use shows up here
+    for script in sorted(Path(SRC).parent.glob("scripts/*.py")):
+        proc = subprocess.run(
+            [sys.executable, str(script), "--help"], capture_output=True, text=True, env=env
+        )
+        assert proc.returncode == 0, f"{script.name}: {proc.stderr}"

@@ -7,7 +7,6 @@ from scc.dataio import (
     SynthSpec,
     load_sequence,
     save_sequence,
-    sequence_from_matrix,
     synth_affine_motion,
     synth_subspace_mixture,
 )
@@ -52,8 +51,6 @@ def test_round_trip_is_bit_exact(tmp_path):
     rng = np.random.default_rng(0)
     record = SequenceRecord(
         sequence_id="rt",
-        n_frames=3,
-        n_points=5,
         trajectories=rng.standard_normal((6, 5)) * np.pi,
         truth_labels=Partition(np.array([0, 1, 1, 0, 2]), 3),
         category="synthetic",
@@ -69,7 +66,7 @@ def test_round_trip_is_bit_exact(tmp_path):
 
 
 def test_n_motions_follows_truth_labels(tmp_path):
-    fields = dict(sequence_id="nm", n_frames=1, n_points=4, trajectories=np.zeros((2, 4)))
+    fields = dict(sequence_id="nm", trajectories=np.zeros((2, 4)))
     truth = Partition(np.array([0, 1, 1, 0]), 2)
     record = SequenceRecord(**fields, truth_labels=truth)
     assert record.n_motions == 2
@@ -186,8 +183,8 @@ def test_motion_two_bodies_cluster_cleanly():
 
 def test_sequence_from_matrix_requires_even_rows():
     with pytest.raises(ValueError):
-        sequence_from_matrix(np.zeros((5, 4)), None, "odd")
-    record = sequence_from_matrix(np.zeros((6, 4)), None, "even")
+        SequenceRecord("odd", np.zeros((5, 4)))
+    record = SequenceRecord("even", np.zeros((6, 4)))
     assert record.n_frames == 3
 
 
@@ -198,3 +195,7 @@ def test_synth_spec_validation():
         SynthSpec(n_clusters=1, points_per_cluster=3, subspace_dim=3)
     with pytest.raises(ValueError):
         SynthSpec(n_clusters=1, points_per_cluster=10, noise_sigma=-0.1)
+    with pytest.raises(ValueError):
+        SynthSpec(n_clusters=1, points_per_cluster=10, noise_sigma=float("nan"))
+    with pytest.raises(ValueError):
+        SynthSpec(n_clusters=1, points_per_cluster=10, rigid_motion_magnitude=float("nan"))

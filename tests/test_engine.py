@@ -292,17 +292,6 @@ def test_scc_run_error_reproducible_in_projected_space():
     assert result.ols_error == pytest.approx(recomputed, rel=1e-9)
 
 
-def test_scc_run_subspaces_cover_clusters():
-    spec = SynthSpec(n_clusters=3, points_per_cluster=25, subspace_dim=2, ambient_dim=6, seed=12)
-    data, _ = synth_subspace_mixture(spec)
-    result = scc_run(data, SccConfig(subspace_dim=2, n_clusters=3, seed=4))
-    assert len(result.subspaces) == 3
-    for k, subspace in enumerate(result.subspaces):
-        if result.partition.members(k).size:
-            assert subspace is not None
-            assert subspace.ambient_dim == result.working_dim
-
-
 def test_scc_run_point_order_invariance_against_truth():
     spec = SynthSpec(n_clusters=2, points_per_cluster=30, subspace_dim=2, ambient_dim=6, seed=14)
     data, truth = synth_subspace_mixture(spec)
