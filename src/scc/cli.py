@@ -88,6 +88,14 @@ def _parse_regime(text: str) -> tuple[int, str]:
     return dim, _normalize_projection(parts[1])
 
 
+def _projection_arg(text: str) -> str:
+    """argparse type for --proj: any alias of the engine's table, in any case."""
+    try:
+        return _normalize_projection(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 # ---------------------------------------------------------------- BLAS threads
 #
 # A multi-threaded OpenBLAS splits a product differently at each thread
@@ -423,7 +431,10 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--in", dest="input", required=True, help="input .seq file")
     cluster.add_argument("--d", type=int, required=True, help="max subspace dimension")
     cluster.add_argument("--K", type=int, required=True, help="number of clusters")
-    cluster.add_argument("--proj", default="2F", choices=["d+1", "4K", "2F"], help="projection regime")
+    cluster.add_argument(
+        "--proj", default="2F", type=_projection_arg,
+        help="projection regime: d+1, 4K or 2F (alias ambient), in any case",
+    )
     cluster.add_argument("--c", type=int, default=None, help="sampled subsets (default 100*K)")
     cluster.add_argument("--seed", type=int, default=DEFAULT_SEED)
     cluster.add_argument("--max-iterations", type=int, default=None)

@@ -74,8 +74,10 @@ class SequenceRecord:
     n_motions: int = 0
 
     def __post_init__(self):
-        if not self.sequence_id or any(ch.isspace() for ch in self.sequence_id):
-            raise ValueError("sequence_id must be nonempty and contain no whitespace")
+        for field in ("sequence_id", "category"):
+            value = getattr(self, field)
+            if not value or any(ch.isspace() for ch in value):
+                raise ValueError(f"{field} must be nonempty and contain no whitespace")
         traj = as_data_matrix(self.trajectories)
         if traj.shape[0] % 2 != 0:
             raise ValueError(f"trajectory matrix has {traj.shape[0]} rows, expected an even number (2F)")

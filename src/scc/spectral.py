@@ -2,11 +2,13 @@
 
 Implements the symmetric-normalization variant: rows are embedded with the
 top-K eigenvectors of Deg^{-1/2} W Deg^{-1/2}, row-normalized, and clustered
-by k-means whose restarts are drawn in sequence from one seeded generator
-per call (the earlier restart wins a tie in cost). For W = A A^T given by
-its (N, c) affinity factor A, the embedding comes from the smaller side of
-B = Deg^{-1/2} A (the left singular vectors of B), so the N x N matrix is
-never formed.
+by k-means. One seeded generator per call draws the k-means++ start of every
+restart in turn; all restarts then run their Lloyd iterations together, as
+one batch over (restarts, N, K) arrays that gives each restart the labels a
+run of its own would, and the restart of least cost wins (the earlier on a
+tie). For W = A A^T given by its (N, c) affinity factor A, the embedding
+comes from the smaller side of B = Deg^{-1/2} A (the left singular vectors
+of B), so the N x N matrix is never formed.
 Points with zero degree (all-zero weight rows) get a zero embedding row;
 when the original data and the subspace dimension are supplied they are
 re-attached afterwards to the cluster whose fitted subspace is nearest.
@@ -28,67 +30,102 @@ KMEANS_MAX_ITER = 100
 
 
 def _sq_distances(rows: np.ndarray, row_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = (
-        row_norms[:, None]
-        - 2.0 * rows @ centers.T
-        + np.einsum("ij,ij->i", centers, centers)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    d2 = 2.0 * rows @ centers.T
+    np.subtract(row_norms[:, None], d2, out=d2)
+    d2 += np.einsum("ij,ij->i", centers, centers)[None, :]
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _plus_plus_init(
     rows: np.ndarray, row_norms: np.ndarray, k: int, rng: np.random.Generator
 ) -> np.ndarray:
+    """D^2-weighted starting centers of every restart, shape (restarts, k, dim).
+
+    Each restart draws its first row index and then k - 1 uniforms, in
+    restart order. Every further center is the inverse CDF of D^2 at that
+    uniform; when D^2 sums to zero (every row equals a chosen center) the
+    uniform picks a row directly.
+    """
     n = rows.shape[0]
-    centers = np.empty((k, rows.shape[1]))
-    centers[0] = rows[rng.integers(n)]
-    d2 = _sq_distances(rows, row_norms, centers[:1])[:, 0]
+    first = np.empty(KMEANS_RESTARTS, dtype=np.intp)
+    uniforms = np.empty((KMEANS_RESTARTS, k - 1))
+    for r in range(KMEANS_RESTARTS):
+        first[r] = rng.integers(n)
+        uniforms[r] = rng.random(k - 1)
+    centers = np.empty((KMEANS_RESTARTS, k, rows.shape[1]))
+    centers[:, 0] = rows[first]
+    d2 = _sq_distances(rows, row_norms, centers[:, 0])  # (n, restarts)
     for j in range(1, k):
-        cumulative = np.cumsum(d2)
-        if cumulative[-1] > 0.0:  # inverse CDF of D^2; a zero-weight row is never picked
-            idx = cumulative.searchsorted(rng.random() * cumulative[-1], side="right")
-        else:
-            idx = rng.integers(n)
-        centers[j] = rows[idx]
-        d2 = np.minimum(d2, _sq_distances(rows, row_norms, centers[j : j + 1])[:, 0])
+        cumulative = np.cumsum(d2, axis=0)
+        u = uniforms[:, j - 1]
+        # the count of cumulative D^2 values <= u * total, as searchsorted(side="right")
+        # gives it: a zero-weight row is never picked
+        idx = (cumulative <= u * cumulative[-1]).sum(axis=0)
+        zero_total = ~(cumulative[-1] > 0.0)
+        if zero_total.any():
+            idx[zero_total] = np.minimum(np.floor(u[zero_total] * n).astype(np.intp), n - 1)
+        centers[:, j] = rows[idx]
+        d2 = np.minimum(d2, _sq_distances(rows, row_norms, centers[:, j]))
     return centers
 
 
 def _lloyd(
     rows: np.ndarray, row_norms: np.ndarray, centers: np.ndarray, max_iter: int
-) -> tuple[np.ndarray, float]:
-    """Lloyd iterations from ``centers``; returns the labels and their WCSS."""
-    n, k = rows.shape[0], centers.shape[0]
-    labels = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lloyd iterations of every restart at once from ``centers`` (restarts, k, dim).
+
+    Returns the (restarts, n) labels and the WCSS of each restart's labels.
+    A restart whose labels repeat stops updating; the others go on, each
+    for at most ``max_iter`` iterations.
+    """
+    n, dim = rows.shape
+    n_restarts, k = centers.shape[:2]
+    labels = np.full((n, n_restarts), -1)
+    bins = k * np.arange(n_restarts)  # restart r's clusters are bins r*k .. r*k + k - 1
+    columns = np.repeat(rows, n_restarts, axis=0).T.copy()  # (dim, n * restarts)
     for _ in range(max_iter):
-        d2 = _sq_distances(rows, row_norms, centers)
-        new_labels = d2.argmin(axis=1)  # ties go to the lowest center index
-        counts = np.bincount(new_labels, minlength=k)
-        if (counts == 0).any():
-            assigned = d2[np.arange(n), new_labels].copy()
-            for empty in np.flatnonzero(counts == 0):
-                j = int(assigned.argmax())
-                centers[empty] = rows[j]
-                new_labels[j] = empty
-                assigned[j] = -1.0
-            counts = np.bincount(new_labels, minlength=k)
-        if labels is not None and np.array_equal(new_labels, labels):
+        d2 = _sq_distances(rows, row_norms, centers.reshape(n_restarts * k, dim))
+        d2 = d2.reshape(n, n_restarts, k)
+        new = d2.argmin(axis=2)  # ties go to the lowest center index
+        binned = new + bins
+        counts = np.bincount(binned.ravel(), minlength=n_restarts * k).reshape(n_restarts, k)
+        if not counts.all():
+            for r in np.flatnonzero((counts == 0).any(axis=1)):
+                assigned = d2[np.arange(n), r, new[:, r]]
+                for empty in np.flatnonzero(counts[r] == 0):
+                    j = int(assigned.argmax())
+                    centers[r, empty] = rows[j]
+                    new[j, r] = empty
+                    assigned[j] = -1.0
+                counts[r] = np.bincount(new[:, r], minlength=k)
+            binned = new + bins
+        moving = (new != labels).any(axis=0)
+        if not moving.any():
             break
-        labels = new_labels
-        sums = np.zeros_like(centers)
-        np.add.at(sums, labels, rows)
-        centers = sums / counts[:, None]
-    offsets = rows - centers[labels]  # centers are the means of the final labels
-    return labels, float(np.einsum("ij,ij->", offsets, offsets))
+        labels[:, moving] = new[:, moving]
+        # bincount adds in row order, as np.add.at does, so each sum has the
+        # bits of a sequential per-restart accumulation
+        binned = binned.ravel()
+        sums = [np.bincount(binned, weights=col, minlength=n_restarts * k) for col in columns]
+        sums = np.stack(sums, axis=1).reshape(n_restarts, k, dim)
+        centers[moving] = sums[moving] / counts[moving, :, None]
+    labels = labels.T
+    # centers are the means of the final labels
+    offsets = centers.reshape(n_restarts * k, dim)[labels + bins[:, None]]
+    np.subtract(rows, offsets, out=offsets)
+    return labels, np.array([np.einsum("ij,ij->", off, off) for off in offsets])
 
 
 def kmeans(rows, n_clusters: int, seed: int) -> Partition:
     """Seeded k-means on the rows of a matrix; deterministic for fixed inputs.
 
-    One generator per call feeds every restart in sequence: each restart
-    draws a D^2-weighted (k-means++) initialization and runs Lloyd
-    iterations. The labeling of smallest within-cluster sum of squares is
-    kept, and on a tie the earlier restart wins.
+    One generator per call draws the D^2-weighted (k-means++) start of
+    every restart in turn: a row index, then n_clusters - 1 uniforms. All
+    restarts then run their Lloyd iterations together, each until its
+    labels repeat, and each ends with the labels it would reach alone (the
+    sequential loop in ``tests/oracles.py`` is the reference). The labeling
+    of smallest within-cluster sum of squares is kept, and on a tie the
+    earlier restart wins.
     """
     mat = np.asarray(rows, dtype=np.float64)
     if mat.ndim != 2 or mat.shape[0] < 1:
@@ -100,14 +137,13 @@ def kmeans(rows, n_clusters: int, seed: int) -> Partition:
         raise ValueError(f"cannot split {n} rows into {n_clusters} clusters")
 
     row_norms = np.einsum("ij,ij->i", mat, mat)
-    rng = seeding.generator(seed, 101)
-    best_labels, best_cost = None, np.inf
-    for _ in range(KMEANS_RESTARTS):
-        centers = _plus_plus_init(mat, row_norms, n_clusters, rng)
-        labels, cost = _lloyd(mat, row_norms, centers, KMEANS_MAX_ITER)
+    centers = _plus_plus_init(mat, row_norms, n_clusters, seeding.generator(seed, 101))
+    labels, costs = _lloyd(mat, row_norms, centers, KMEANS_MAX_ITER)
+    best, best_cost = None, np.inf
+    for r, cost in enumerate(costs):
         if cost < best_cost:  # strict, so a tie keeps the earlier restart
-            best_cost, best_labels = cost, labels
-    return Partition(best_labels, n_clusters)
+            best, best_cost = r, cost
+    return Partition(labels[best], n_clusters)
 
 
 def _check_weights(weights) -> np.ndarray:

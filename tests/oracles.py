@@ -104,3 +104,64 @@ def random_flat_tuple(
     origin = rng.uniform(-2.0, 2.0, ambient_dim)
     coeffs = rng.standard_normal((flat_dim, n_points))
     return origin[:, None] + basis @ coeffs
+
+
+def _kmeans_sq_distances(rows, row_norms, centers):
+    d2 = row_norms[:, None] - 2.0 * rows @ centers.T + np.einsum("ij,ij->i", centers, centers)[None, :]
+    return np.maximum(d2, 0.0)
+
+
+def kmeans_sequential(rows: np.ndarray, n_clusters: int, seed: int, restarts: int = 10, max_iter: int = 100):
+    """Seeded k-means with its restarts run one after another; returns the labels.
+
+    The generator is PCG64 keyed by [seed, 101], one per call. Each restart
+    draws its first row index and n_clusters - 1 uniforms, picks every
+    further center by the inverse CDF of D^2 (k-means++), or by
+    min(floor(u * n), n - 1) when D^2 sums to zero, and runs Lloyd
+    iterations until its labels repeat. A cluster left empty takes the row
+    farthest from its own center. The restart of least WCSS wins, the
+    earliest on a tie.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    n, k = rows.shape[0], n_clusters
+    row_norms = np.einsum("ij,ij->i", rows, rows)
+    rng = np.random.default_rng(np.random.SeedSequence([seed & ((1 << 63) - 1), 101]))
+    best_labels, best_cost = None, np.inf
+    for _ in range(restarts):
+        first, uniforms = rng.integers(n), rng.random(k - 1)
+        centers = np.empty((k, rows.shape[1]))
+        centers[0] = rows[first]
+        d2 = _kmeans_sq_distances(rows, row_norms, centers[:1])[:, 0]
+        for j in range(1, k):
+            cumulative = np.cumsum(d2)
+            if cumulative[-1] > 0.0:
+                idx = cumulative.searchsorted(uniforms[j - 1] * cumulative[-1], side="right")
+            else:
+                idx = min(math.floor(uniforms[j - 1] * n), n - 1)
+            centers[j] = rows[idx]
+            d2 = np.minimum(d2, _kmeans_sq_distances(rows, row_norms, centers[j : j + 1])[:, 0])
+
+        labels = None
+        for _ in range(max_iter):
+            d2 = _kmeans_sq_distances(rows, row_norms, centers)
+            new_labels = d2.argmin(axis=1)
+            counts = np.bincount(new_labels, minlength=k)
+            if (counts == 0).any():
+                assigned = d2[np.arange(n), new_labels].copy()
+                for empty in np.flatnonzero(counts == 0):
+                    j = int(assigned.argmax())
+                    centers[empty] = rows[j]
+                    new_labels[j] = empty
+                    assigned[j] = -1.0
+                counts = np.bincount(new_labels, minlength=k)
+            if labels is not None and np.array_equal(new_labels, labels):
+                break
+            labels = new_labels
+            sums = np.zeros_like(centers)
+            np.add.at(sums, labels, rows)
+            centers = sums / counts[:, None]
+        offsets = rows - centers[labels]
+        cost = float(np.einsum("ij,ij->", offsets, offsets))
+        if cost < best_cost:
+            best_cost, best_labels = cost, labels
+    return best_labels

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 import scipy
 
 from scc.cli import _bench_one, _blas_thread_controls, main
@@ -78,6 +79,31 @@ def test_cluster_projection_flag_controls_working_dim(tmp_path):
     assert code == 0
     diag = json.loads((tmp_path / "p-labels.txt.jsonl").read_text())
     assert diag["working_dim"] == 4
+
+
+def test_cluster_projection_accepts_the_engine_aliases_in_any_case(tmp_path):
+    seq = _synth(tmp_path, "q.seq", mode="motion", K=2, N=30, F=10, noise=0.0, seed=6)
+    outputs = {}
+    for proj in ("2F", "ambient", "2f", "4K", "4k", "d+1", "D+1"):
+        labels_path = tmp_path / f"{proj}.txt"
+        code = main(
+            ["cluster", "--in", str(seq), "--d", "3", "--K", "2", "--proj", proj,
+             "--seed", "1", "--out", str(labels_path)]
+        )
+        assert code == 0
+        diag = json.loads((tmp_path / f"{proj}.txt.jsonl").read_text())
+        outputs[proj] = (labels_path.read_bytes(), diag["projection"], diag["working_dim"])
+    assert outputs["ambient"] == outputs["2F"] == outputs["2f"]
+    assert outputs["4k"] == outputs["4K"] and outputs["D+1"] == outputs["d+1"]
+    assert [outputs[p][1:] for p in ("2F", "4K", "d+1")] == [("ambient", 20), ("4K", 8), ("d+1", 4)]
+
+
+def test_cluster_rejects_an_unknown_projection(tmp_path, capsys):
+    seq = _synth(tmp_path, "u.seq", K=2, N=30, D=6, d=2, seed=1)
+    with pytest.raises(SystemExit) as exc:
+        main(["cluster", "--in", str(seq), "--d", "2", "--K", "2", "--proj", "5K"])
+    assert exc.value.code == 2
+    assert "unknown projection regime" in capsys.readouterr().err
 
 
 def test_cluster_label_file_is_deterministic(tmp_path):

@@ -77,6 +77,16 @@ def test_n_motions_follows_truth_labels(tmp_path):
     assert SequenceRecord(**fields, n_motions=3).n_motions == 3  # no labels, nothing to check
 
 
+@pytest.mark.parametrize("category", ["two words", ""])
+def test_category_the_file_format_cannot_hold_is_rejected(tmp_path, category):
+    # CAT=<category> is one whitespace-free token in the header
+    with pytest.raises(ValueError, match="category"):
+        SequenceRecord("s1", np.zeros((4, 3)), category=category)
+    record = SequenceRecord("s1", np.zeros((4, 3)), category="two_words")
+    save_sequence(tmp_path / "s1.seq", record)
+    assert load_sequence(tmp_path / "s1.seq").category == "two_words"
+
+
 @pytest.mark.parametrize(
     "mutate, line_no",
     [

@@ -3,13 +3,15 @@ import itertools
 import numpy as np
 import pytest
 
+import scc.spectral
 from scc.curvature import affinity_from_curvatures, curvature_matrix, pairwise_weights
-from scc.engine import sample_initial, sigma_candidates
+from scc.dataio import SynthSpec, synth_affine_motion
+from scc.engine import SccConfig, sample_initial, scc_run, sigma_candidates
 from scc.evaluation import misclassification_rate
 from scc.geometry import Partition
 from scc.spectral import _factored_embedding, _lloyd, kmeans, spectral_cluster, spectral_cluster_factored
 
-from oracles import labeling_cost
+from oracles import kmeans_sequential, labeling_cost
 
 
 def _block_weights(sizes):
@@ -180,15 +182,98 @@ def test_lloyd_cost_is_the_wcss_of_its_labels():
     spread = rng.standard_normal((40, 3))
     two_values = np.repeat([[0.25, -1.5], [1.0, 0.75]], [6, 5], axis=0)
     # starting centers (A, B, A) leave center 2 with no rows, so the repair runs
-    cases = [(spread, spread[:4]), (two_values, two_values[[0, 6, 0]])]
+    cases = [(spread, spread[None, :4]), (two_values, two_values[None, [0, 6, 0]])]
     noisy = two_values + 1e-3 * rng.standard_normal(two_values.shape)
-    cases.append((noisy, noisy[[0, 6, 0]]))
+    cases.append((noisy, noisy[None, [0, 6, 0]]))
+    # restarts that converge after different numbers of iterations, in one batch
+    cases.append((spread, spread[[[0, 1, 2], [5, 5, 9], [39, 20, 1]]]))
     # one iteration stops before convergence, 100 runs to it
     for (rows, centers), max_iter in itertools.product(cases, (1, 100)):
-        k = len(centers)
-        labels, cost = _lloyd(rows, np.einsum("ij,ij->i", rows, rows), centers.copy(), max_iter)
-        assert np.bincount(labels, minlength=k).min() >= 1
-        assert cost == pytest.approx(labeling_cost(rows, labels, k), rel=1e-12)
+        n_restarts, k = centers.shape[:2]
+        labels, costs = _lloyd(rows, np.einsum("ij,ij->i", rows, rows), centers.copy(), max_iter)
+        assert labels.shape == (n_restarts, rows.shape[0]) and costs.shape == (n_restarts,)
+        for restart_labels, cost in zip(labels, costs):
+            assert np.bincount(restart_labels, minlength=k).min() >= 1
+            assert cost == pytest.approx(labeling_cost(rows, restart_labels, k), rel=1e-12)
+
+
+def _assert_matches_sequential(rows, k, seed):
+    got = kmeans(rows, k, seed).labels
+    want = kmeans_sequential(rows, k, seed)
+    assert np.array_equal(got, want), (rows.shape, k, seed)
+    return got
+
+
+def test_kmeans_matches_sequential_oracle_on_random_rows():
+    cases = 0
+    for k in (1, 2, 3, 5):
+        for trial in range(14):
+            rng = np.random.default_rng(1000 * k + trial)
+            n = int(rng.integers(k, 60))
+            dim = int(rng.integers(1, 5))
+            rows = rng.standard_normal((n, dim))
+            if trial % 2:  # clustered rows, as a spectral embedding gives
+                rows = rng.standard_normal((k, dim))[rng.integers(0, k, n)] + 0.05 * rows
+            _assert_matches_sequential(rows, k, seed=trial)
+            cases += 1
+    assert cases >= 50
+
+
+def test_kmeans_matches_sequential_oracle_under_a_short_iteration_budget(monkeypatch):
+    # restarts still moving when the budget runs out keep their last labels
+    for max_iter in (1, 2, 3):
+        monkeypatch.setattr(scc.spectral, "KMEANS_MAX_ITER", max_iter)
+        for trial in range(4):
+            rows = np.random.default_rng(50 + trial).standard_normal((80, 2))
+            got = kmeans(rows, 5, seed=trial).labels
+            assert np.array_equal(got, kmeans_sequential(rows, 5, trial, max_iter=max_iter))
+
+
+def test_kmeans_matches_sequential_oracle_with_one_row_per_cluster():
+    rng = np.random.default_rng(8)
+    for k in (1, 2, 3, 5):
+        rows = rng.standard_normal((k, 3))
+        labels = _assert_matches_sequential(rows, k, seed=k)
+        assert sorted(labels.tolist()) == list(range(k))
+
+
+def test_kmeans_matches_sequential_oracle_when_repair_runs():
+    # fewer distinct rows than clusters: a chosen center repeats, argmin ties
+    # leave a cluster empty, and the farthest-row repair fills it
+    for values, k in (([[0.25, -1.5], [1.0, 0.75]], 3), ([[0.5, 0.0], [0.0, 2.0], [-1.0, 1.0]], 5)):
+        for seed in range(6):
+            rows = np.repeat(values, 4, axis=0)
+            labels = _assert_matches_sequential(rows, k, seed)
+            assert np.bincount(labels, minlength=k).min() >= 1
+
+
+def test_kmeans_matches_sequential_oracle_on_scc_embeddings(monkeypatch):
+    calls = []
+    batched = scc.spectral.kmeans
+
+    def recording(rows, n_clusters, seed):
+        calls.append((rows.copy(), n_clusters, seed))
+        return batched(rows, n_clusters, seed)
+
+    monkeypatch.setattr(scc.spectral, "kmeans", recording)
+    for k in (2, 3):
+        record = synth_affine_motion(SynthSpec(n_clusters=k, points_per_cluster=20, n_frames=8,
+                                               noise_sigma=0.002, seed=k))
+        config = SccConfig(subspace_dim=3, n_clusters=k, seed=1, projection="4K", max_iterations=2)
+        scc_run(record.trajectories, config)
+    assert len(calls) >= 10
+    for rows, n_clusters, seed in calls:
+        assert np.allclose(np.linalg.norm(rows, axis=1)[rows.any(axis=1)], 1.0)
+        _assert_matches_sequential(rows, n_clusters, seed)
+
+
+def test_kmeans_all_zero_rows_have_a_defined_partition():
+    # every distance ties at zero: all rows go to cluster 0, then each empty
+    # cluster in turn takes the lowest-index row still at distance zero
+    rows = np.zeros((10, 3))
+    for seed in range(3):
+        labels = _assert_matches_sequential(rows, 3, seed)
+        assert labels.tolist() == [1, 2] + [0] * 8
 
 
 def test_kmeans_validation():
