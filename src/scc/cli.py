@@ -9,11 +9,9 @@ JSON-lines record, and to bench's timings.csv, never into the result files.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import ctypes
+import dataclasses
 import json
-import re
 import sys
 import time
 import traceback
@@ -50,11 +48,6 @@ DEFAULT_REPEATS = 100
 DEFAULT_REGIMES = ("3,d+1", "3,4K", "3,2F", "4,d+1", "4,4K", "4,2F")
 DEFAULT_BIN_EDGES = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 100.0]
 _RECORD_COLUMNS = ["method", "sequence", "category", "motions", "error_pct", "runs"]
-_OPENBLAS_THREAD_SYMBOLS = [
-    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
-    for prefix in ("scipy_openblas_", "openblas_")
-    for suffix in ("64_", "")
-]
 
 EXIT_INTERNAL = 1
 EXIT_PARSE = 2
@@ -96,60 +89,6 @@ def _projection_arg(text: str) -> str:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-# ---------------------------------------------------------------- BLAS threads
-#
-# A multi-threaded OpenBLAS splits a product differently at each thread
-# count, so its sums round differently and a near-tie in k-means can fall
-# the other way. The commands that write results therefore run every
-# scc_run on one OpenBLAS thread, which also keeps bench's pool workers
-# from oversubscribing the cores. Library callers of scc_run keep their own
-# threading.
-
-
-def _blas_thread_controls() -> list[tuple]:
-    """The (get, set) thread-count functions of each OpenBLAS in this process.
-
-    numpy and scipy may each load their own OpenBLAS, with its own thread
-    pool. The list is empty without /proc/self/maps or without an OpenBLAS.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as handle:
-            maps = handle.read()
-    except OSError:
-        return []
-    controls = []
-    for path in sorted(set(re.findall(r"(/\S*openblas\S*\.so\S*)", maps))):
-        lib = ctypes.CDLL(path)
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return controls
-
-
-def _pin_one_blas_thread() -> None:
-    """Set every OpenBLAS in this process to one thread (bench's pool initializer)."""
-    for _, set_threads in _blas_thread_controls():
-        set_threads(1)
-
-
-@contextlib.contextmanager
-def _one_blas_thread():
-    """Run the body on one OpenBLAS thread, then restore the previous counts."""
-    controls = _blas_thread_controls()
-    previous = [get() for get, _ in controls]
-    for _, set_threads in controls:
-        set_threads(1)
-    try:
-        yield
-    finally:
-        for (_, set_threads), count in zip(controls, previous):
-            set_threads(count)
-
-
 # ---------------------------------------------------------------- cluster
 
 
@@ -164,8 +103,7 @@ def cmd_cluster(args) -> int:
         projection=args.proj,
     )
     start = time.perf_counter()
-    with _one_blas_thread():
-        result = scc_run(record.trajectories, config)
+    result = scc_run(record.trajectories, config)
     elapsed = time.perf_counter() - start
 
     labels_path = Path(args.out) if args.out else Path(f"{record.sequence_id}.labels.txt")
@@ -232,27 +170,17 @@ def cmd_synth(args) -> int:
 
 def _bench_one(payload) -> tuple[str, str, float, float]:
     """One (sequence, regime) cell: mean error and mean runtime over repeats."""
-    record, dim, projection, repeats, root_seed, c, max_iterations = payload
-    truth = record.truth_labels
+    record, config, repeats, root_seed = payload
     errors = []
     elapsed = []
     for trial in range(repeats):
         trial_seed = seeding.stable_text_seed(f"{root_seed}:{record.sequence_id}:{trial}")
-        config = SccConfig(
-            subspace_dim=dim,
-            n_clusters=truth.n_clusters,
-            n_sample_sets=c,
-            max_iterations=max_iterations,
-            seed=trial_seed,
-            projection=projection,
-        )
         start = time.perf_counter()
-        result = scc_run(record.trajectories, config)
+        result = scc_run(record.trajectories, dataclasses.replace(config, seed=trial_seed))
         elapsed.append(time.perf_counter() - start)
-        errors.append(misclassification_rate(result.partition, truth))
-    return record.sequence_id, _regime_label(dim, projection), float(np.mean(errors)), float(
-        np.mean(elapsed)
-    )
+        errors.append(misclassification_rate(result.partition, record.truth_labels))
+    method = _regime_label(config.subspace_dim, config.projection)
+    return record.sequence_id, method, float(np.mean(errors)), float(np.mean(elapsed))
 
 
 def cmd_bench(args) -> int:
@@ -287,19 +215,23 @@ def cmd_bench(args) -> int:
         _log("error: no labeled sequences to benchmark")
         return EXIT_INTERNAL
 
-    tasks = [
-        (record, dim, proj, args.repeats, args.seed, args.c, args.max_iterations)
-        for record in sequences
-        for dim, proj in regimes
-    ]
-    # each worker pins itself; the parent's threads are left alone, since
-    # raising a count again wakes OpenBLAS threads that spin for a while
+    tasks = []
+    for record in sequences:
+        for dim, proj in regimes:
+            # built here, so a bad --c fails before any worker starts
+            config = SccConfig(
+                subspace_dim=dim,
+                n_clusters=record.truth_labels.n_clusters,
+                n_sample_sets=args.c,
+                max_iterations=args.max_iterations,
+                projection=proj,
+            )
+            tasks.append((record, config, args.repeats, args.seed))
     if args.workers > 1:
-        with ProcessPoolExecutor(max_workers=args.workers, initializer=_pin_one_blas_thread) as pool:
+        with ProcessPoolExecutor(max_workers=args.workers) as pool:
             outcomes = list(pool.map(_bench_one, tasks))
     else:
-        with _one_blas_thread():
-            outcomes = [_bench_one(task) for task in tasks]
+        outcomes = [_bench_one(task) for task in tasks]
 
     meta = {rec.sequence_id: rec for rec in sequences}
     out_dir = Path(args.out)
@@ -351,16 +283,27 @@ def _emit_reports(out_dir: Path, records_path: Path, include_reference: bool) ->
         reader = csv.DictReader(handle)
         if reader.fieldnames is None or not set(_RECORD_COLUMNS).issubset(reader.fieldnames):
             raise SequenceParseError(records_path, 1, f"records CSV must have columns {sorted(_RECORD_COLUMNS)}")
+        seen: set[tuple[str, str]] = set()
         for row in reader:
-            by_method.setdefault(row["method"], []).append(
-                EvalRecord(
+            if None in row or None in row.values():
+                raise SequenceParseError(records_path, reader.line_num, f"expected {len(reader.fieldnames)} fields")
+            if include_reference and row["method"].endswith(" (published)"):
+                raise SequenceParseError(records_path, reader.line_num, "' (published)' is kept for published rows")
+            key = (row["method"], row["sequence"])
+            if key in seen:
+                raise SequenceParseError(records_path, reader.line_num, f"second record for {key[0]!r} on {key[1]!r}")
+            seen.add(key)
+            try:
+                record = EvalRecord(
                     sequence_id=row["sequence"],
                     category=row["category"],
                     n_motions=int(row["motions"]),
                     error_pct=float(row["error_pct"]),
                     runs=int(row["runs"]),
                 )
-            )
+            except ValueError as exc:
+                raise SequenceParseError(records_path, reader.line_num, f"bad record: {exc}") from None
+            by_method.setdefault(row["method"], []).append(record)
     if not by_method:
         return []
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -375,9 +318,10 @@ def _emit_reports(out_dir: Path, records_path: Path, include_reference: bool) ->
                 rows.extend(aggregate(by_method[method], motions))
         rows_by_method[method] = rows
     if include_reference:
+        # the published table names methods as bench does; its rows join apart from the measured ones
         for motions in motions_values:
             for method, rows in reference_rows(motions).items():
-                rows_by_method.setdefault(method, []).extend(rows)
+                rows_by_method.setdefault(f"{method} (published)", []).extend(rows)
 
     report_path = out_dir / "report.csv"
     write_report_csv(report_path, rows_by_method)
@@ -486,10 +430,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except SequenceParseError as exc:
-        _log(f"error: {exc}")
-        return EXIT_PARSE
-    except FileNotFoundError as exc:
+    except (SequenceParseError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_PARSE
     except ValueError as exc:

@@ -107,7 +107,12 @@ class SequenceRecord:
 def load_sequence(path) -> SequenceRecord:
     """Parse a ``.seq`` file; raises SequenceParseError with a line number."""
     path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
+    raw = path.read_bytes()
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        line_no = len((raw[: exc.start].decode("utf-8") + "?").splitlines())
+        raise SequenceParseError(path, line_no, f"not UTF-8: {exc.reason} at byte {exc.start}") from None
     if not lines:
         raise SequenceParseError(path, 1, "empty file")
 

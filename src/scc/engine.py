@@ -10,7 +10,12 @@ clusters and repeat until the best error stops improving.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 import math
+import re
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +45,13 @@ _STREAM_SPECTRAL = 2
 
 # relative drop in the best OLS error that counts as an improvement
 _IMPROVEMENT_TOL = 1e-6
+
+_OPENBLAS_THREAD_SYMBOLS = [
+    (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
+    for prefix in ("scipy_openblas_", "openblas_")
+    for suffix in ("64_", "")
+]
+_BLAS_PIN_LOCK = threading.Lock()
 
 
 def _normalize_projection(name: str) -> str:
@@ -107,17 +119,20 @@ class SccResult:
     """Best partition found plus the diagnostics of the run.
 
     All error values refer to the working space of the run, i.e. the data
-    after the configured projection (``working_dim`` rows). ``ols_error``
-    is the minimum of ``per_iteration_errors``, which holds one entry per
-    iteration run.
+    after the configured projection (``working_dim`` rows).
+    ``per_iteration_errors`` holds one entry per iteration run.
     """
 
     partition: Partition
-    ols_error: float
     sigma_sq_chosen: float
     q_chosen: int
     per_iteration_errors: list[float] = field(repr=False)
     working_dim: int = 0
+
+    @property
+    def ols_error(self) -> float:
+        """The OLS error of ``partition``: the least of ``per_iteration_errors``."""
+        return min(self.per_iteration_errors)
 
     @property
     def iterations_run(self) -> int:
@@ -173,7 +188,7 @@ def sigma_candidates(
 
 
 def resample_within(
-    partition: Partition, data, subspace_dim: int, n_sets: int, rng: np.random.Generator
+    partition: Partition, subspace_dim: int, n_sets: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Redraw sample sets from within each cluster of the given partition.
 
@@ -182,10 +197,7 @@ def resample_within(
     Clusters with fewer than d+1 points have their quota drawn from the
     whole dataset instead.
     """
-    X = as_data_matrix(data)
-    n = X.shape[1]
-    if partition.size != n:
-        raise ValueError("partition does not match the data")
+    n = partition.size
     k = partition.n_clusters
     base, remainder = divmod(n_sets, k)
     sizes = partition.sizes()
@@ -241,47 +253,97 @@ def sweep_and_cluster(
     return best
 
 
+@functools.cache
+def _blas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of each OpenBLAS in this process.
+
+    numpy and scipy may each load their own OpenBLAS, with its own thread
+    pool; ``import scc`` loads both, so one lookup serves the process and
+    any worker forked after it. Empty without /proc/self/maps or an OpenBLAS.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as handle:
+            maps = handle.read()
+    except OSError:
+        return ()
+    controls = []
+    for path in sorted(set(re.findall(r"(/\S*openblas\S*\.so\S*)", maps))):
+        lib = ctypes.CDLL(path)
+        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body on one OpenBLAS thread, then restore the previous counts.
+
+    The counts are process-wide, so the lock keeps concurrent callers from
+    interleaving their saves and restores.
+    """
+    controls = _blas_thread_controls()
+    with _BLAS_PIN_LOCK:
+        previous = [get() for get, _ in controls]
+        for _, set_threads in controls:
+            set_threads(1)
+        try:
+            yield
+        finally:
+            for (_, set_threads), count in zip(controls, previous):
+                set_threads(count)
+
+
 def scc_run(data, config: SccConfig) -> SccResult:
-    """Run the full clustering pipeline on a (D, N) data matrix."""
-    X = as_data_matrix(data)
-    n = X.shape[1]
-    d = config.subspace_dim
-    if n < d + 2:
-        raise ValueError(f"need at least d+2 = {d + 2} points, got {n}")
-    if n < config.n_clusters:
-        raise ValueError("cannot ask for more clusters than points")
+    """Run the full clustering pipeline on a (D, N) data matrix.
 
-    work = project_pca(X, config.projection_dim(X.shape[0]))
+    The run computes on one OpenBLAS thread and then restores the caller's
+    counts: a multi-threaded OpenBLAS rounds its sums differently, which can
+    tip a near-tie into another partition. Concurrent calls run one at a time.
+    """
+    with _one_blas_thread():
+        X = as_data_matrix(data)
+        n = X.shape[1]
+        d = config.subspace_dim
+        if n < d + 2:
+            raise ValueError(f"need at least d+2 = {d + 2} points, got {n}")
+        if n < config.n_clusters:
+            raise ValueError("cannot ask for more clusters than points")
 
-    c = config.sample_set_count
-    sets = sample_initial(n, d, c, seeding.generator(config.seed, _STREAM_INITIAL, 0))
+        work = project_pca(X, config.projection_dim(X.shape[0]))
 
-    best: tuple[Partition, float, int, float] | None = None
-    per_iteration: list[float] = []
-    stalled = 0
-    for iteration in range(1, config.iteration_limit + 1):
-        partition, sigma_sq, q, error = sweep_and_cluster(work, sets, config, iteration)
-        per_iteration.append(error)
-        if best is None:
-            best, improved = (partition, sigma_sq, q, error), True
-        else:
-            improved = error < best[3] * (1.0 - _IMPROVEMENT_TOL) and best[3] > 0.0
-            if error < best[3]:
-                best = (partition, sigma_sq, q, error)
-        stalled = 0 if improved else stalled + 1
-        if stalled >= config.patience:
-            break
-        if iteration < config.iteration_limit:
-            sets = resample_within(
-                partition, work, d, c, seeding.generator(config.seed, _STREAM_RESAMPLE, iteration)
-            )
+        c = config.sample_set_count
+        sets = sample_initial(n, d, c, seeding.generator(config.seed, _STREAM_INITIAL, 0))
 
-    partition, sigma_sq, q, error = best
-    return SccResult(
-        partition=partition,
-        ols_error=error,
-        sigma_sq_chosen=sigma_sq,
-        q_chosen=q,
-        per_iteration_errors=per_iteration,
-        working_dim=work.shape[0],
-    )
+        best: tuple[Partition, float, int, float] | None = None
+        per_iteration: list[float] = []
+        stalled = 0
+        for iteration in range(1, config.iteration_limit + 1):
+            partition, sigma_sq, q, error = sweep_and_cluster(work, sets, config, iteration)
+            per_iteration.append(error)
+            if best is None:
+                best, improved = (partition, sigma_sq, q, error), True
+            else:
+                improved = error < best[3] * (1.0 - _IMPROVEMENT_TOL) and best[3] > 0.0
+                if error < best[3]:
+                    best = (partition, sigma_sq, q, error)
+            stalled = 0 if improved else stalled + 1
+            if stalled >= config.patience:
+                break
+            if iteration < config.iteration_limit:
+                sets = resample_within(
+                    partition, d, c, seeding.generator(config.seed, _STREAM_RESAMPLE, iteration)
+                )
+
+        partition, sigma_sq, q, _ = best
+        return SccResult(
+            partition=partition,
+            sigma_sq_chosen=sigma_sq,
+            q_chosen=q,
+            per_iteration_errors=per_iteration,
+            working_dim=work.shape[0],
+        )

@@ -195,19 +195,30 @@ def _scaling_case(n_total, n_sets):
     return data, config
 
 
-def test_complexity_scaling():
-    # 5 timed runs per configuration, interleaved so machine-load drift
-    # inflates all configurations alike; ratios use per-config medians
-    cases = {"base": _scaling_case(200, 200), "N2": _scaling_case(400, 200), "c2": _scaling_case(200, 400)}
+def _scaling_medians(base_n=200, base_c=200, runs=5) -> dict:
+    """Median scc_run wall time of the base case ("base") and of its copies with
+    N ("N2") and c ("c2") doubled, over ``runs`` timed runs after one warm-up.
+
+    The cases are interleaved so machine-load drift inflates all of them alike.
+    """
+    cases = {
+        "base": _scaling_case(base_n, base_c),
+        "N2": _scaling_case(2 * base_n, base_c),
+        "c2": _scaling_case(base_n, 2 * base_c),
+    }
     for data, config in cases.values():  # warm-up
         scc_run(data, config)
     times = {name: [] for name in cases}
-    for _ in range(5):
+    for _ in range(runs):
         for name, (data, config) in cases.items():
             start = time.perf_counter()
             scc_run(data, config)
             times[name].append(time.perf_counter() - start)
-    medians = {name: float(np.median(vals)) for name, vals in times.items()}
+    return {name: float(np.median(vals)) for name, vals in times.items()}
+
+
+def test_complexity_scaling():
+    medians = _scaling_medians()
     ratio_n = medians["N2"] / medians["base"]
     ratio_c = medians["c2"] / medians["base"]
     ok = 1.5 <= ratio_n <= 3.0 and 1.5 <= ratio_c <= 3.0

@@ -1,5 +1,7 @@
+import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +10,12 @@ import numpy as np
 import pytest
 import scipy
 
-from scc.cli import _bench_one, _blas_thread_controls, main
+from scc.cli import main
 from scc.dataio import SynthSpec, load_sequence, save_sequence, synth_affine_motion
+from scc.engine import _blas_thread_controls, sweep_and_cluster
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
+_RECORDS_HEADER = "method,sequence,category,motions,error_pct,runs"
 
 
 def _synth(tmp_path, name, mode="mixture", K=2, N=40, D=6, d=2, F=8, noise=0.02, seed=1):
@@ -122,6 +126,10 @@ def test_cluster_exit_codes(tmp_path):
     corrupt = tmp_path / "corrupt.seq"
     corrupt.write_text("not a header\n")
     assert main(["cluster", "--in", str(corrupt), "--d", "2", "--K", "2"]) == 2
+    binary = tmp_path / "binary.seq"
+    binary.write_bytes(b"\xff\n")
+    assert main(["cluster", "--in", str(binary), "--d", "2", "--K", "2"]) == 2
+    assert main(["cluster", "--in", str(tmp_path), "--d", "2", "--K", "2"]) == 2  # a directory
     seq = _synth(tmp_path, "e.seq", K=2, N=30, D=6, d=2, seed=1)
     assert main(["cluster", "--in", str(seq), "--d", "0", "--K", "2"]) == 3
 
@@ -149,6 +157,8 @@ def _make_suite(tmp_path):
     unlabeled = data_dir / "nolabels.seq"
     text = (data_dir / "s0.seq").read_text().splitlines()
     unlabeled.write_text("\n".join([text[0].replace("K=2", "K=0")] + text[2:]) + "\n")
+    # and one that is not UTF-8
+    (data_dir / "binary.seq").write_bytes(b"SEQ binary F=1 N=2 K=0 CAT=x\n\xff 0\n0 0\n")
     return data_dir
 
 
@@ -166,6 +176,7 @@ def test_bench_produces_reports(tmp_path, capsys):
     assert _run_bench(data_dir, out_dir) == 0
     err = capsys.readouterr().err
     assert "nolabels.seq" in err and "skipping" in err
+    assert "skipping binary.seq" in err and "binary.seq:2: not UTF-8" in err
 
     report = (out_dir / "report.csv").read_text().splitlines()
     assert report[0] == "method,category,motions,mean_pct,median_pct"
@@ -221,6 +232,17 @@ def test_bench_rejects_duplicate_sequence_ids(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_bench_rejects_a_bad_config_before_starting_workers(tmp_path, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool started")
+
+    monkeypatch.setattr("scc.cli.ProcessPoolExecutor", no_pool)
+    data_dir = _make_suite(tmp_path)
+    # fewer sample sets than clusters: SccConfig's ValueError, exit 3
+    assert _run_bench(data_dir, tmp_path / "out", extra=["--workers", "2", "--c", "1"]) == 3
+    assert not (tmp_path / "out").exists()
+
+
 def test_bench_rejects_fewer_than_one_worker(tmp_path):
     data_dir = _make_suite(tmp_path)
     for workers in ("0", "-2"):
@@ -248,19 +270,19 @@ def test_bench_pins_cells_to_one_blas_thread(tmp_path, monkeypatch):
     try:
         before = _thread_counts(controls)
         data_dir = _make_suite(tmp_path)
-        # the pool workers pin themselves; the parent's counts never change
+        # scc_run pins inside the pool workers; the parent's counts never change
         assert _run_bench(data_dir, tmp_path / "pool", extra=["--workers", "2"]) == 0
         assert _thread_counts(controls) == before
 
         seen = []
 
-        def spy(payload):
+        def spy(*args, **kwargs):
             seen.append(_thread_counts(controls))
-            return _bench_one(payload)
+            return sweep_and_cluster(*args, **kwargs)
 
-        monkeypatch.setattr("scc.cli._bench_one", spy)
+        monkeypatch.setattr("scc.engine.sweep_and_cluster", spy)
         assert _run_bench(data_dir, tmp_path / "serial", extra=["--workers", "1"]) == 0
-        assert len(seen) == 3
+        assert len(seen) >= 6  # three cells of two runs each
         assert all(counts == [1] * len(controls) for counts in seen)
         assert _thread_counts(controls) == before
     finally:
@@ -368,6 +390,56 @@ def test_report_with_reference_rows(tmp_path):
     assert code == 0
     report = (regen / "report.csv").read_text()
     assert "RANSAC" in report and "REF" in report and "1.4100" in report
+
+
+def test_published_rows_stay_apart_from_measured_rows(tmp_path):
+    # the published table also holds a "SCC (3,4K)" method
+    data_dir = _make_suite(tmp_path)
+    out_dir = tmp_path / "out"
+    assert main(
+        ["bench", "--data", str(data_dir), "--out", str(out_dir), "--repeats", "1", "--regimes", "3,4K",
+         "--seed", "3", "--c", "60", "--max-iterations", "2", "--include-reference"]
+    ) == 0
+    with (out_dir / "records.csv").open(newline="") as handle:
+        measured = [float(r["error_pct"]) for r in csv.DictReader(handle) if r["motions"] == "2"]
+    with (out_dir / "report.csv").open(newline="") as handle:
+        rows = [r for r in csv.DictReader(handle) if (r["category"], r["motions"]) == ("All", "2")]
+    ours = [r for r in rows if r["method"] == "SCC (3,4K)"]
+    assert len(ours) == 1 and ours[0]["mean_pct"] == f"{np.mean(measured):.4f}"
+    published = [r for r in rows if r["method"] == "SCC (3,4K) (published)"]
+    assert [r["mean_pct"] for r in published] == ["1.6300"]
+
+    table = (out_dir / "report.txt").read_text().split("== 3 motions ==")[0].splitlines()[1:]
+    header, *lines = [re.split(r"\s{2,}", line) for line in table if line]
+    ours = [cells for cells in lines if cells[0] == "SCC (3,4K)"]
+    assert len(ours) == 1
+    assert ours[0][header.index("All mean/med")] == f"{np.mean(measured):.2f}/{np.median(measured):.2f}"
+
+    # a measured method under a published name is refused, not merged
+    records = tmp_path / "records.csv"
+    records.write_text(f"{_RECORDS_HEADER}\nRANSAC (published),s1,synthetic,2,1.5,1\n")
+    assert main(["report", "--records", str(records), "--out", str(tmp_path / "ref"), "--include-reference"]) == 2
+    assert main(["report", "--records", str(records), "--out", str(tmp_path / "plain")]) == 0
+
+
+
+@pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ('"SCC (2,4K)",s2,synthetic,2', "expected 6 fields"),
+        ('"SCC (2,4K)",s2,synthetic,two,3.5,1', "bad record: invalid literal for int()"),
+        ('"SCC (2,4K)",s1,synthetic,2,3.5,1', "second record for 'SCC (2,4K)' on 's1'"),
+    ],
+    ids=["short-row", "bad-motions", "duplicate-pair"],
+)
+def test_report_rejects_a_bad_record_with_its_line(tmp_path, capsys, bad_row, message):
+    records = tmp_path / "records.csv"
+    records.write_text("\n".join([_RECORDS_HEADER, '"SCC (2,4K)",s1,synthetic,2,1.5,1', bad_row]) + "\n")
+    assert main(["report", "--records", str(records), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{records}:3: {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_module_entry_point_runs():

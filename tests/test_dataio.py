@@ -108,6 +108,17 @@ def test_parse_errors_carry_line_numbers(tmp_path, mutate, line_no):
     assert f":{line_no}:" in str(err.value)
 
 
+def test_undecodable_bytes_carry_their_line_number(tmp_path):
+    path = tmp_path / "binary.seq"
+    lines = MINIMAL.encode("utf-8").splitlines()
+    lines[2] = b"4 5 \xff"
+    path.write_bytes(b"\r\n".join(lines) + b"\r\n")
+    with pytest.raises(SequenceParseError) as err:
+        load_sequence(path)
+    assert err.value.line_no == 3
+    assert "not UTF-8" in str(err.value)
+
+
 def test_label_exceeding_header_k_is_rejected(tmp_path):
     lines = MINIMAL.replace("K=0", "K=2").splitlines()
     lines.insert(1, "LABELS 0 1 2")

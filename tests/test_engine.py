@@ -1,3 +1,7 @@
+import contextlib
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +11,7 @@ from scc.curvature import curvature_matrix
 from scc.dataio import SynthSpec, synth_subspace_mixture
 from scc.engine import (
     SccConfig,
+    _blas_thread_controls,
     resample_within,
     sample_initial,
     scc_run,
@@ -71,10 +76,9 @@ def test_sample_initial_requires_complement():
 
 def test_sample_initial_is_resampling_within_one_cluster():
     for n in (5, 50, 600):
-        data = np.zeros((2, n))
         one = Partition(np.zeros(n, dtype=int), 1)
         a = sample_initial(n, 3, 40, np.random.default_rng(n))
-        b = resample_within(one, data, 3, 40, np.random.default_rng(n))
+        b = resample_within(one, 3, 40, np.random.default_rng(n))
         assert np.array_equal(a, b)
 
 
@@ -108,16 +112,13 @@ def test_sigma_candidates_validation():
         sigma_candidates(np.ones(7), 5, 1, 2, 2)  # wrong length
 
 
-def _labeled_data(seed=0, n=40):
-    rng = np.random.default_rng(seed)
-    data = rng.standard_normal((3, n))
-    labels = Partition((np.arange(n) >= n // 2).astype(int), 2)
-    return data, labels
+def _halves(n=40):
+    return Partition((np.arange(n) >= n // 2).astype(int), 2)
 
 
 def test_resample_within_equal_quota():
-    data, part = _labeled_data()
-    sets = resample_within(part, data, 1, 200, np.random.default_rng(3))
+    part = _halves()
+    sets = resample_within(part, 1, 200, np.random.default_rng(3))
     assert sets.shape == (200, 2)
     first = np.isin(sets, part.members(0)).all(axis=1)
     second = np.isin(sets, part.members(1)).all(axis=1)
@@ -125,33 +126,29 @@ def test_resample_within_equal_quota():
 
 
 def test_resample_within_remainder_to_largest():
-    rng = np.random.default_rng(4)
-    data = rng.standard_normal((3, 30))
     labels = np.zeros(30, dtype=int)
     labels[18:] = 1  # sizes 18 and 12
     part = Partition(labels, 2)
-    sets = resample_within(part, data, 1, 5, rng)
+    sets = resample_within(part, 1, 5, np.random.default_rng(4))
     from_large = np.isin(sets, part.members(0)).all(axis=1).sum()
     from_small = np.isin(sets, part.members(1)).all(axis=1).sum()
     assert (from_large, from_small) == (3, 2)
 
 
 def test_resample_within_small_cluster_falls_back_to_all():
-    rng = np.random.default_rng(5)
-    data = rng.standard_normal((3, 20))
     labels = np.zeros(20, dtype=int)
     labels[:2] = 1  # cluster 1 has d points only (d=2 here)
     part = Partition(labels, 2)
-    sets = resample_within(part, data, 2, 10, rng)
+    sets = resample_within(part, 2, 10, np.random.default_rng(5))
     assert sets.shape == (10, 3)
     # the small cluster cannot supply 3 distinct members, so its quota uses any index
     assert sets.max() < 20 and sets.min() >= 0
 
 
 def test_resample_within_deterministic():
-    data, part = _labeled_data(seed=6)
-    a = resample_within(part, data, 1, 9, np.random.default_rng(8))
-    b = resample_within(part, data, 1, 9, np.random.default_rng(8))
+    part = _halves()
+    a = resample_within(part, 1, 9, np.random.default_rng(8))
+    b = resample_within(part, 1, 9, np.random.default_rng(8))
     assert np.array_equal(a, b)
 
 
@@ -311,3 +308,90 @@ def test_scc_run_input_validation():
         scc_run(rng.standard_normal((3, 4)), SccConfig(subspace_dim=3, n_clusters=2))
     with pytest.raises(ValueError):
         scc_run(rng.standard_normal((3, 5)), SccConfig(subspace_dim=1, n_clusters=9))
+
+
+def _blas_counts():
+    return [get() for get, _ in _blas_thread_controls()]
+
+
+@contextlib.contextmanager
+def _blas_threads(count):
+    """Set every OpenBLAS in the process to ``count`` threads, then restore."""
+    previous = _blas_counts()
+    for _, set_threads in _blas_thread_controls():
+        set_threads(count)
+    try:
+        yield
+    finally:
+        for (_, set_threads), old in zip(_blas_thread_controls(), previous):
+            set_threads(old)
+
+
+def _pin_case(seed=0):
+    spec = SynthSpec(n_clusters=2, points_per_cluster=40, subspace_dim=2, ambient_dim=6, seed=5, noise_sigma=0.08)
+    data, _ = synth_subspace_mixture(spec)
+    return data, SccConfig(subspace_dim=2, n_clusters=2, max_iterations=3, seed=seed)
+
+
+def _spy_on_sweeps(monkeypatch, seen, fail=False):
+    def spy(*args, **kwargs):
+        seen.append(_blas_counts())
+        if fail:
+            raise RuntimeError("boom")
+        return sweep_and_cluster(*args, **kwargs)
+
+    monkeypatch.setattr("scc.engine.sweep_and_cluster", spy)
+
+
+def test_blas_thread_controls_are_looked_up_once():
+    assert _blas_thread_controls() is _blas_thread_controls()
+
+
+def test_scc_run_computes_on_one_blas_thread_and_restores_the_counts(monkeypatch):
+    data, config = _pin_case()
+    with _blas_threads(1):
+        expected = scc_run(data, config).partition.labels
+    ones = [1] * len(_blas_thread_controls())
+    with _blas_threads(2):
+        seen = []
+        _spy_on_sweeps(monkeypatch, seen)
+        labels = scc_run(data, config).partition.labels
+        assert seen and all(counts == ones for counts in seen)
+        assert _blas_counts() == [2] * len(ones)
+        assert np.array_equal(labels, expected)
+
+        seen.clear()
+        _spy_on_sweeps(monkeypatch, seen, fail=True)
+        with pytest.raises(RuntimeError, match="boom"):
+            scc_run(data, config)
+        assert seen == [ones]
+        assert _blas_counts() == [2] * len(ones)
+
+
+def test_concurrent_scc_runs_match_sequential_runs(monkeypatch):
+    cases = [_pin_case(seed) for seed in (1, 2)]
+    expected = [scc_run(data, config).partition.labels for data, config in cases]
+    ones = [1] * len(_blas_thread_controls())
+    seen = []
+    _spy_on_sweeps(monkeypatch, seen)
+    labels = [None] * len(cases)
+
+    def work(i):
+        labels[i] = scc_run(*cases[i]).partition.labels
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with _blas_threads(2):
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(cases))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            # an interleaved save and restore would leave 1 here, or 2 inside a run
+            assert _blas_counts() == [2] * len(ones)
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(counts == ones for counts in seen)
+    assert all(np.array_equal(a, b) for a, b in zip(labels, expected))
