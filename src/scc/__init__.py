@@ -9,11 +9,9 @@ with synthetic generators and the motion-segmentation benchmark protocol.
 from .geometry import (
     AffineSubspace,
     Partition,
-    dist_to_subspace,
     fit_affine_ols,
     project_pca,
     total_ols_error,
-    total_scatter,
 )
 from .curvature import pairwise_weights, polar_curvature_sq, simplex_gram_det
 from .spectral import kmeans, spectral_cluster, spectral_cluster_factored
@@ -41,7 +39,6 @@ __all__ = [
     "SynthSpec",
     "EvalRecord",
     "aggregate",
-    "dist_to_subspace",
     "error_histogram",
     "fit_affine_ols",
     "kmeans",
@@ -62,6 +59,5 @@ __all__ = [
     "synth_affine_motion",
     "synth_subspace_mixture",
     "total_ols_error",
-    "total_scatter",
     "__version__",
 ]

@@ -200,7 +200,7 @@ def cmd_bench(args) -> int:
     for path in paths:
         try:
             record = load_sequence(path)
-        except SequenceParseError as exc:
+        except (SequenceParseError, OSError) as exc:  # OSError: e.g. a directory named *.seq
             _log(f"warning: skipping {path.name}: {exc}")
             continue
         if record.truth_labels is None:

@@ -1,11 +1,15 @@
 """The spectral curvature clustering engine.
 
-One run proceeds as: optionally project the data (PCA), draw c random
-(d+1)-subsets, score every (point, subset) tuple by squared polar curvature,
-sweep d+1 candidate bandwidths taken from order statistics of the
+One run proceeds as: optionally project the data (PCA), draw c uniformly
+random (d+1)-subsets, score every (point, subset) tuple by squared polar
+curvature, sweep d+1 candidate bandwidths taken from order statistics of the
 curvatures, spectrally cluster each candidate's affinity, keep the partition
 of smallest total OLS error, then redraw the subsets from within the current
 clusters and repeat until the best error stops improving.
+
+Subsets are drawn one pool at a time (the whole point set, or one cluster):
+Floyd's algorithm, run one column at a time on all of the pool's rows, so a
+pool costs d+1 generator calls however many subsets it supplies.
 """
 
 from __future__ import annotations
@@ -153,9 +157,23 @@ def sample_initial(
 
 
 def _draw_sets(pools, quotas, size: int, rng: np.random.Generator) -> np.ndarray:
-    """quotas[j] draws of ``size`` distinct indices from pools[j], pool by pool."""
-    draws = [rng.choice(pool, size=size, replace=False) for pool, quota in zip(pools, quotas) for _ in range(quota)]
-    return np.array(draws, dtype=np.int64).reshape(len(draws), size)
+    """quotas[j] draws of ``size`` distinct indices from pools[j], pool by pool.
+
+    Floyd's algorithm, on all of a pool's rows at once, one column per step:
+    for a pool of p indices, column j draws a position in [0, p - size + j],
+    and a row that already holds it takes p - size + j instead. Every row is
+    a uniformly random subset of its pool, from ``size`` generator calls.
+    """
+    blocks = []
+    for pool, quota in zip(pools, quotas):
+        top = len(pool) - size
+        picks = np.empty((quota, size), dtype=np.int64)
+        for j in range(size):
+            drawn = rng.integers(0, top + j + 1, size=quota)
+            taken = (picks[:, :j] == drawn[:, None]).any(axis=1)
+            picks[:, j] = np.where(taken, top + j, drawn)
+        blocks.append(pool[picks])
+    return np.concatenate(blocks)
 
 
 def sigma_candidates(

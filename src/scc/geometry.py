@@ -17,10 +17,8 @@ __all__ = [
     "Partition",
     "as_data_matrix",
     "fit_affine_ols",
-    "dist_to_subspace",
     "subspace_sq_distances",
     "total_ols_error",
-    "total_scatter",
     "project_pca",
 ]
 
@@ -151,16 +149,6 @@ def subspace_sq_distances(data, subspace: AffineSubspace) -> np.ndarray:
     return np.einsum("ij,ij->j", deltas, deltas)
 
 
-def dist_to_subspace(x, subspace: AffineSubspace) -> float:
-    """Euclidean distance from a single point to an affine subspace."""
-    vec = np.asarray(x, dtype=np.float64)
-    if vec.ndim != 1 or vec.shape[0] != subspace.ambient_dim:
-        raise ValueError(
-            f"point dimension {vec.shape} does not match ambient dimension {subspace.ambient_dim}"
-        )
-    return float(np.sqrt(max(subspace_sq_distances(vec[:, None], subspace)[0], 0.0)))
-
-
 def total_ols_error(data, partition: Partition, dim: int) -> float:
     """Total squared orthogonal distance of points to their clusters' OLS fits.
 
@@ -185,13 +173,6 @@ def total_ols_error(data, partition: Partition, dim: int) -> float:
         singular = np.linalg.svd(centered, compute_uv=False)
         total += float(np.sum(singular[dim:] ** 2))
     return total
-
-
-def total_scatter(data) -> float:
-    """Sum of squared distances of the points to their mean."""
-    X = as_data_matrix(data)
-    centered = X - X.mean(axis=1, keepdims=True)
-    return float(np.einsum("ij,ij->", centered, centered))
 
 
 def project_pca(data, target_dim: int) -> np.ndarray:

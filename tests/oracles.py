@@ -19,6 +19,12 @@ def eig_tail_sum(points: np.ndarray, dim: int) -> float:
     return float(np.clip(vals[dim:], 0.0, None).sum())
 
 
+def total_scatter(points: np.ndarray) -> float:
+    """Sum of squared distances of the columns to their mean, one point at a time."""
+    mean = points.mean(axis=1)
+    return float(sum(((points[:, j] - mean) ** 2).sum() for j in range(points.shape[1])))
+
+
 def lstsq_distance(x: np.ndarray, origin: np.ndarray, basis: np.ndarray) -> float:
     """Point-to-flat distance by solving the normal equations directly."""
     if basis.shape[1] == 0:

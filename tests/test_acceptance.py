@@ -20,10 +20,10 @@ from scc.curvature import pairwise_weights, polar_curvature_sq, simplex_gram_det
 from scc.dataio import SynthSpec, synth_affine_motion, synth_subspace_mixture
 from scc.engine import SccConfig, scc_run
 from scc.evaluation import EvalRecord, aggregate, misclassification_rate
-from scc.geometry import Partition, fit_affine_ols, subspace_sq_distances, total_scatter
+from scc.geometry import Partition, fit_affine_ols, subspace_sq_distances
 from scc.spectral import spectral_cluster
 
-from oracles import random_flat_tuple
+from oracles import random_flat_tuple, total_scatter
 
 TRIANGLE = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
 

@@ -232,6 +232,17 @@ def test_bench_rejects_duplicate_sequence_ids(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_bench_skips_a_directory_named_like_a_sequence(tmp_path, capsys):
+    data_dir = _make_suite(tmp_path)
+    assert _run_bench(data_dir, tmp_path / "plain") == 0
+    (data_dir / "nested.seq").mkdir()
+    capsys.readouterr()
+    assert _run_bench(data_dir, tmp_path / "out") == 0
+    assert "warning: skipping nested.seq" in capsys.readouterr().err
+    for name in ("records.csv", "report.csv", "report.txt"):
+        assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
+
+
 def test_bench_rejects_a_bad_config_before_starting_workers(tmp_path, monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started")

@@ -12,7 +12,9 @@ from scc.dataio import (
 )
 from scc.engine import SccConfig, scc_run
 from scc.evaluation import misclassification_rate
-from scc.geometry import Partition, fit_affine_ols, subspace_sq_distances, total_ols_error, total_scatter
+from scc.geometry import Partition, fit_affine_ols, subspace_sq_distances, total_ols_error
+
+from oracles import total_scatter
 
 MINIMAL = """SEQ tiny F=2 N=3 K=0 CAT=other
 1 2 3

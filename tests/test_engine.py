@@ -1,6 +1,8 @@
 import contextlib
+import itertools
 import sys
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +21,9 @@ from scc.engine import (
     sweep_and_cluster,
 )
 from scc.evaluation import misclassification_rate
-from scc.geometry import Partition, total_ols_error, total_scatter
+from scc.geometry import Partition, total_ols_error
+
+from oracles import total_scatter
 
 
 def test_config_defaults_and_validation():
@@ -143,6 +147,54 @@ def test_resample_within_small_cluster_falls_back_to_all():
     assert sets.shape == (10, 3)
     # the small cluster cannot supply 3 distinct members, so its quota uses any index
     assert sets.max() < 20 and sets.min() >= 0
+
+
+def _subset_chi_square(rows, pool) -> float:
+    """Pearson's statistic of the counts of every 3-subset of ``pool`` among ``rows``."""
+    subsets = list(itertools.combinations(sorted(pool), 3))
+    counts = Counter(map(tuple, np.sort(rows, axis=1).tolist()))
+    assert set(counts) <= set(subsets)
+    expected = len(rows) / len(subsets)
+    return sum((counts[s] - expected) ** 2 / expected for s in subsets)
+
+
+# exceeded by a uniform draw with probability 1e-3 (20 subsets, 19 degrees of freedom)
+_CHI2_19_BOUND = 43.82
+
+
+def test_sample_initial_draws_every_subset_uniformly():
+    sets = sample_initial(6, 2, 20_000, np.random.default_rng(11))
+    assert _subset_chi_square(sets, range(6)) < _CHI2_19_BOUND
+
+
+def test_resample_within_draws_every_subset_uniformly():
+    labels = np.ones(12, dtype=int)
+    pool = [0, 2, 5, 7, 9, 11]
+    labels[pool] = 0
+    part = Partition(labels, 2)
+    sets = resample_within(part, 2, 40_000, np.random.default_rng(12))
+    assert np.isin(sets[:20_000], pool).all()
+    assert _subset_chi_square(sets[:20_000], pool) < _CHI2_19_BOUND
+
+
+def test_resample_within_pool_of_exactly_d_plus_one_points():
+    labels = np.zeros(20, dtype=int)
+    labels[[3, 8, 15]] = 1  # d+1 = 3 points
+    part = Partition(labels, 2)
+    sets = resample_within(part, 2, 50, np.random.default_rng(13))
+    assert (np.sort(sets[25:], axis=1) == [3, 8, 15]).all()
+
+
+def test_resample_within_three_clusters_one_below_d_plus_one():
+    labels = np.array([0, 1, 0, 2, 0, 1, 0, 0, 1, 0, 2, 0, 1, 0, 0, 1, 0, 1, 0, 0])
+    part = Partition(labels, 3)  # sizes 12, 6 and 2; d+1 = 3
+    sets = resample_within(part, 2, 10, np.random.default_rng(14))
+    assert sets.shape == (10, 3)
+    assert all(len(set(row)) == 3 for row in sets.tolist())
+    # quotas 3 each, the leftover one to the largest cluster; the small one draws from all
+    assert np.isin(sets[:4], part.members(0)).all()
+    assert np.isin(sets[4:7], part.members(1)).all()
+    assert sets[7:].min() >= 0 and sets[7:].max() < 20
 
 
 def test_resample_within_deterministic():

@@ -6,15 +6,18 @@ from hypothesis import strategies as st
 from scc.geometry import (
     AffineSubspace,
     Partition,
-    dist_to_subspace,
     fit_affine_ols,
     project_pca,
     subspace_sq_distances,
     total_ols_error,
-    total_scatter,
 )
 
-from oracles import eig_tail_sum, lstsq_distance
+from oracles import eig_tail_sum, lstsq_distance, total_scatter
+
+
+def dist_to_subspace(x, subspace: AffineSubspace) -> float:
+    """Distance from one point to the flat, through the library's batched squared distances."""
+    return float(np.sqrt(subspace_sq_distances(np.asarray(x, dtype=np.float64)[:, None], subspace)[0]))
 
 
 def test_fit_exact_line_zero_residual():
