@@ -183,6 +183,12 @@ def _bench_one(payload) -> tuple[str, str, float, float]:
     return record.sequence_id, method, float(np.mean(errors)), float(np.mean(elapsed))
 
 
+def _cell_cost(task) -> int:
+    """A cell's relative cost: points x sampled subsets x working dimension."""
+    record, config = task[:2]
+    return record.n_points * config.sample_set_count * config.projection_dim(record.trajectories.shape[0])
+
+
 def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise ValueError("--repeats must be at least 1")
@@ -194,7 +200,13 @@ def cmd_bench(args) -> int:
         _log(f"error: no .seq files found under {data_dir}")
         return EXIT_INTERNAL
 
-    regimes = [_parse_regime(r) for r in (args.regimes or DEFAULT_REGIMES)]
+    regimes = []
+    for text in args.regimes or DEFAULT_REGIMES:
+        regime = _parse_regime(text)
+        if regime in regimes:
+            # aliases name one regime: it would run twice and key two records alike
+            raise ValueError(f"regime {text!r} repeats {_regime_text(*regime)}")
+        regimes.append(regime)
     sequences: list[SequenceRecord] = []
     id_paths: dict[str, Path] = {}
     for path in paths:
@@ -227,6 +239,9 @@ def cmd_bench(args) -> int:
                 projection=proj,
             )
             tasks.append((record, config, args.repeats, args.seed))
+    # longest cells first, so the pool does not end on one heavy cell; the
+    # outputs are sorted below, so the order shows only in the wall time
+    tasks.sort(key=_cell_cost, reverse=True)
     if args.workers > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             outcomes = list(pool.map(_bench_one, tasks))

@@ -7,6 +7,11 @@ curvatures, spectrally cluster each candidate's affinity, keep the partition
 of smallest total OLS error, then redraw the subsets from within the current
 clusters and repeat until the best error stops improving.
 
+A sweep runs in two passes: each candidate's affinity and embedding, one
+candidate at a time, then one k-means call over all the embeddings, each
+with its own seed; each partition then gets its zero-degree attachment and
+its OLS error, and the smallest error wins (the smallest q on a tie).
+
 Subsets are drawn one pool at a time (the whole point set, or one cluster):
 Floyd's algorithm, run one column at a time on all of the pool's rows, so a
 pool costs d+1 generator calls however many subsets it supplies.
@@ -256,15 +261,19 @@ def sweep_and_cluster(
     candidates = sigma_candidates(curv[~member], n, d, sample_sets.shape[0], k)
     floor_sigma = _positive_floor(curv)  # member entries are zero, so never the floor
 
+    # exact fits give zero curvatures and duplicated points +inf ones;
+    # either as sigma^2 would make the kernel unusable
+    sigmas = [s if 0.0 < s < math.inf else floor_sigma for s in candidates]
+    seeds = [
+        seeding.derived_seed(config.seed, _STREAM_SPECTRAL, iteration, q)
+        for q in range(1, len(sigmas) + 1)
+    ]
+    # a generator: the spectral step reads one affinity at a time
+    affinities = (affinity_from_curvatures(curv, member, s) for s in sigmas)
+    partitions = spectral_cluster_factored(affinities, k, seeds, data=X, subspace_dim=d)
+
     best = None
-    for q, sigma_sq in enumerate(candidates, start=1):
-        # exact fits give zero curvatures and duplicated points +inf ones;
-        # either as sigma^2 would make the kernel unusable
-        if not 0.0 < sigma_sq < math.inf:
-            sigma_sq = floor_sigma
-        affinity = affinity_from_curvatures(curv, member, sigma_sq)
-        seed_q = seeding.derived_seed(config.seed, _STREAM_SPECTRAL, iteration, q)
-        partition = spectral_cluster_factored(affinity, k, seed_q, data=X, subspace_dim=d)
+    for q, (partition, sigma_sq) in enumerate(zip(partitions, sigmas), start=1):
         error = total_ols_error(X, partition, d)
         if best is None or error < best[3]:
             best = (partition, float(sigma_sq), q, float(error))

@@ -2,13 +2,17 @@
 
 Implements the symmetric-normalization variant: rows are embedded with the
 top-K eigenvectors of Deg^{-1/2} W Deg^{-1/2}, row-normalized, and clustered
-by k-means. One seeded generator per call draws the k-means++ start of every
-restart in turn; all restarts then run their Lloyd iterations together, as
-one batch over (restarts, N, K) arrays that gives each restart the labels a
-run of its own would, and the restart of least cost wins (the earlier on a
-tie). For W = A A^T given by its (N, c) affinity factor A, the embedding
-comes from the smaller side of B = Deg^{-1/2} A (the left singular vectors
-of B), so the N x N matrix is never formed.
+by k-means. For W = A A^T given by its (N, c) affinity factor A, the
+embedding comes from the smaller side of B = Deg^{-1/2} A (the left singular
+vectors of B), so the N x N matrix is never formed; the factored path takes
+several affinities (the bandwidth candidates of one sweep), embeds them one
+at a time and clusters all their embeddings in one k-means call.
+K-means takes one embedding or a stack of them, each with its own seed and
+generator, which draws the k-means++ start of every restart in turn. All
+restarts of all embeddings then run their Lloyd iterations together, as one
+batch that gives each restart the labels a run of its own would (the same
+per-embedding products and row-order sums), and per embedding the restart
+of least cost wins (the earlier on a tie).
 Points with zero degree (all-zero weight rows) get a zero embedding row;
 when the original data and the subspace dimension are supplied they are
 re-attached afterwards to the cluster whose fitted subspace is nearest.
@@ -30,120 +34,144 @@ KMEANS_MAX_ITER = 100
 
 
 def _sq_distances(rows: np.ndarray, row_norms: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    d2 = 2.0 * rows @ centers.T
-    np.subtract(row_norms[:, None], d2, out=d2)
-    d2 += np.einsum("ij,ij->i", centers, centers)[None, :]
+    """Squared distances (groups, n, m) of each group's rows to its own centers.
+
+    ``rows`` is (groups, n, dim) and ``centers`` (groups, m, dim); matmul runs
+    one (n, dim) x (dim, m) product per group.
+    """
+    d2 = 2.0 * rows @ centers.swapaxes(1, 2)
+    np.subtract(row_norms[:, :, None], d2, out=d2)
+    d2 += np.einsum("gij,gij->gi", centers, centers)[:, None, :]
     return np.maximum(d2, 0.0, out=d2)
 
 
 def _plus_plus_init(
-    rows: np.ndarray, row_norms: np.ndarray, k: int, rng: np.random.Generator
+    rows: np.ndarray, row_norms: np.ndarray, k: int, rngs: list[np.random.Generator]
 ) -> np.ndarray:
-    """D^2-weighted starting centers of every restart, shape (restarts, k, dim).
+    """D^2-weighted starting centers of every restart, shape (groups, restarts, k, dim).
 
-    Each restart draws its first row index and then k - 1 uniforms, in
-    restart order. Every further center is the inverse CDF of D^2 at that
-    uniform; when D^2 sums to zero (every row equals a chosen center) the
-    uniform picks a row directly.
+    Group g draws from ``rngs[g]``: each restart its first row index and
+    then k - 1 uniforms, in restart order. Every further center is the
+    inverse CDF of D^2 at that uniform; when D^2 sums to zero (every row
+    equals a chosen center) the uniform picks a row directly.
     """
-    n = rows.shape[0]
-    first = np.empty(KMEANS_RESTARTS, dtype=np.intp)
-    uniforms = np.empty((KMEANS_RESTARTS, k - 1))
-    for r in range(KMEANS_RESTARTS):
-        first[r] = rng.integers(n)
-        uniforms[r] = rng.random(k - 1)
-    centers = np.empty((KMEANS_RESTARTS, k, rows.shape[1]))
-    centers[:, 0] = rows[first]
-    d2 = _sq_distances(rows, row_norms, centers[:, 0])  # (n, restarts)
+    n_groups, n, dim = rows.shape
+    first = np.empty((n_groups, KMEANS_RESTARTS), dtype=np.intp)
+    uniforms = np.empty((n_groups, KMEANS_RESTARTS, k - 1))
+    for g, rng in enumerate(rngs):
+        for r in range(KMEANS_RESTARTS):
+            first[g, r] = rng.integers(n)
+            uniforms[g, r] = rng.random(k - 1)
+    group = np.arange(n_groups)[:, None]
+    centers = np.empty((n_groups, KMEANS_RESTARTS, k, dim))
+    centers[:, :, 0] = rows[group, first]
+    d2 = _sq_distances(rows, row_norms, centers[:, :, 0])  # (groups, n, restarts)
     for j in range(1, k):
-        cumulative = np.cumsum(d2, axis=0)
-        u = uniforms[:, j - 1]
+        cumulative = np.cumsum(d2, axis=1)
+        u = uniforms[:, :, j - 1]
         # the count of cumulative D^2 values <= u * total, as searchsorted(side="right")
         # gives it: a zero-weight row is never picked
-        idx = (cumulative <= u * cumulative[-1]).sum(axis=0)
-        zero_total = ~(cumulative[-1] > 0.0)
+        idx = (cumulative <= (u * cumulative[:, -1])[:, None, :]).sum(axis=1)
+        zero_total = ~(cumulative[:, -1] > 0.0)
         if zero_total.any():
             idx[zero_total] = np.minimum(np.floor(u[zero_total] * n).astype(np.intp), n - 1)
-        centers[:, j] = rows[idx]
-        d2 = np.minimum(d2, _sq_distances(rows, row_norms, centers[:, j]))
+        centers[:, :, j] = rows[group, idx]
+        d2 = np.minimum(d2, _sq_distances(rows, row_norms, centers[:, :, j]))
     return centers
 
 
 def _lloyd(
     rows: np.ndarray, row_norms: np.ndarray, centers: np.ndarray, max_iter: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Lloyd iterations of every restart at once from ``centers`` (restarts, k, dim).
+    """Lloyd iterations of every restart of every group at once.
 
-    Returns the (restarts, n) labels and the WCSS of each restart's labels.
-    A restart whose labels repeat stops updating; the others go on, each
-    for at most ``max_iter`` iterations.
+    ``rows`` is (groups, n, dim) and ``centers`` (groups, restarts, k, dim).
+    Returns the (groups, restarts, n) labels and the WCSS of each restart's
+    labels, (groups, restarts). A restart whose labels repeat stops
+    updating; the others go on, each for at most ``max_iter`` iterations.
     """
-    n, dim = rows.shape
-    n_restarts, k = centers.shape[:2]
-    labels = np.full((n, n_restarts), -1)
-    bins = k * np.arange(n_restarts)  # restart r's clusters are bins r*k .. r*k + k - 1
-    columns = np.repeat(rows, n_restarts, axis=0).T.copy()  # (dim, n * restarts)
+    n_groups, n, dim = rows.shape
+    n_restarts, k = centers.shape[1:3]
+    runs = n_groups * n_restarts
+    labels = np.full((n_groups, n, n_restarts), -1)
+    # restart r of group g owns the clusters (g * restarts + r) * k .. + k - 1
+    bins = k * np.arange(runs).reshape(n_groups, 1, n_restarts)
+    columns = np.repeat(rows, n_restarts, axis=1).reshape(-1, dim).T.copy()  # (dim, groups * n * restarts)
     for _ in range(max_iter):
-        d2 = _sq_distances(rows, row_norms, centers.reshape(n_restarts * k, dim))
-        d2 = d2.reshape(n, n_restarts, k)
-        new = d2.argmin(axis=2)  # ties go to the lowest center index
+        d2 = _sq_distances(rows, row_norms, centers.reshape(n_groups, n_restarts * k, dim))
+        d2 = d2.reshape(n_groups, n, n_restarts, k)
+        new = d2.argmin(axis=3)  # ties go to the lowest center index
         binned = new + bins
-        counts = np.bincount(binned.ravel(), minlength=n_restarts * k).reshape(n_restarts, k)
+        counts = np.bincount(binned.ravel(), minlength=runs * k).reshape(n_groups, n_restarts, k)
         if not counts.all():
-            for r in np.flatnonzero((counts == 0).any(axis=1)):
-                assigned = d2[np.arange(n), r, new[:, r]]
-                for empty in np.flatnonzero(counts[r] == 0):
+            for g, r in np.argwhere((counts == 0).any(axis=2)):
+                assigned = d2[g, np.arange(n), r, new[g, :, r]]
+                for empty in np.flatnonzero(counts[g, r] == 0):
                     j = int(assigned.argmax())
-                    centers[r, empty] = rows[j]
-                    new[j, r] = empty
+                    centers[g, r, empty] = rows[g, j]
+                    new[g, j, r] = empty
                     assigned[j] = -1.0
-                counts[r] = np.bincount(new[:, r], minlength=k)
+                counts[g, r] = np.bincount(new[g, :, r], minlength=k)
             binned = new + bins
-        moving = (new != labels).any(axis=0)
+        moving = (new != labels).any(axis=1)  # (groups, restarts)
         if not moving.any():
             break
-        labels[:, moving] = new[:, moving]
+        np.copyto(labels, new, where=moving[:, None, :])
         # bincount adds in row order, as np.add.at does, so each sum has the
         # bits of a sequential per-restart accumulation
         binned = binned.ravel()
-        sums = [np.bincount(binned, weights=col, minlength=n_restarts * k) for col in columns]
-        sums = np.stack(sums, axis=1).reshape(n_restarts, k, dim)
-        centers[moving] = sums[moving] / counts[moving, :, None]
-    labels = labels.T
+        sums = [np.bincount(binned, weights=col, minlength=runs * k) for col in columns]
+        sums = np.stack(sums, axis=1).reshape(n_groups, n_restarts, k, dim)
+        centers[moving] = sums[moving] / counts[moving][:, :, None]
+    labels = labels.transpose(0, 2, 1)
     # centers are the means of the final labels
-    offsets = centers.reshape(n_restarts * k, dim)[labels + bins[:, None]]
-    np.subtract(rows, offsets, out=offsets)
-    return labels, np.array([np.einsum("ij,ij->", off, off) for off in offsets])
+    offsets = centers.reshape(runs * k, dim)[labels + bins.reshape(n_groups, n_restarts, 1)]
+    np.subtract(rows[:, None], offsets, out=offsets)
+    costs = [[np.einsum("ij,ij->", off, off) for off in group] for group in offsets]
+    return labels, np.array(costs)
 
 
-def kmeans(rows, n_clusters: int, seed: int) -> Partition:
-    """Seeded k-means on the rows of a matrix; deterministic for fixed inputs.
+def kmeans(rows, n_clusters: int, seed):
+    """Seeded k-means on the rows of a matrix, or of each matrix of a stack.
 
-    One generator per call draws the D^2-weighted (k-means++) start of
-    every restart in turn: a row index, then n_clusters - 1 uniforms. All
-    restarts then run their Lloyd iterations together, each until its
-    labels repeat, and each ends with the labels it would reach alone (the
-    sequential loop in ``tests/oracles.py`` is the reference). The labeling
-    of smallest within-cluster sum of squares is kept, and on a tie the
-    earlier restart wins.
+    ``rows`` is one (N, dim) matrix with an integer ``seed``, and the result
+    one Partition; or a (groups, N, dim) stack with one seed per group, and
+    the result a list of Partitions, each what a call on its group alone
+    gives. One generator per group draws the D^2-weighted (k-means++)
+    start of every restart in turn: a row index, then n_clusters - 1
+    uniforms. All restarts of all groups then run their Lloyd iterations
+    together, each until its labels repeat, and each ends with the labels it
+    would reach alone (the sequential loop in ``tests/oracles.py`` is the
+    reference). Per group, the labeling of smallest within-cluster sum of
+    squares is kept, and on a tie the earlier restart wins. Deterministic
+    for fixed inputs.
     """
     mat = np.asarray(rows, dtype=np.float64)
-    if mat.ndim != 2 or mat.shape[0] < 1:
-        raise ValueError("rows must be a nonempty 2-D matrix")
-    n = mat.shape[0]
+    single = mat.ndim == 2
+    stack = mat[None] if single else mat
+    seeds = [seed] if single else list(seed)
+    if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1] < 1:
+        raise ValueError("rows must be a nonempty 2-D matrix or a stack of them")
+    if len(seeds) != stack.shape[0]:
+        raise ValueError(f"{stack.shape[0]} row matrices need as many seeds, got {len(seeds)}")
+    n = stack.shape[1]
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
     if n < n_clusters:
         raise ValueError(f"cannot split {n} rows into {n_clusters} clusters")
 
-    row_norms = np.einsum("ij,ij->i", mat, mat)
-    centers = _plus_plus_init(mat, row_norms, n_clusters, seeding.generator(seed, 101))
-    labels, costs = _lloyd(mat, row_norms, centers, KMEANS_MAX_ITER)
-    best, best_cost = None, np.inf
-    for r, cost in enumerate(costs):
-        if cost < best_cost:  # strict, so a tie keeps the earlier restart
-            best, best_cost = r, cost
-    return Partition(labels[best], n_clusters)
+    row_norms = np.einsum("gij,gij->gi", stack, stack)
+    rngs = [seeding.generator(s, 101) for s in seeds]
+    centers = _plus_plus_init(stack, row_norms, n_clusters, rngs)
+    labels, costs = _lloyd(stack, row_norms, centers, KMEANS_MAX_ITER)
+    partitions = []
+    for group_labels, group_costs in zip(labels, costs):
+        best, best_cost = None, np.inf
+        for r, cost in enumerate(group_costs):
+            if cost < best_cost:  # strict, so a tie keeps the earlier restart
+                best, best_cost = r, cost
+        partitions.append(Partition(group_labels[best], n_clusters))
+    return partitions[0] if single else partitions
 
 
 def _check_weights(weights) -> np.ndarray:
@@ -156,23 +184,28 @@ def _check_weights(weights) -> np.ndarray:
     return W
 
 
-def _embedding_to_labels(
-    vecs: np.ndarray,
+def _embeddings_to_labels(
+    embeddings: list[tuple[np.ndarray, np.ndarray]],
     n_clusters: int,
-    seed: int,
-    zero_degree: np.ndarray,
+    seeds,
     data,
     subspace_dim,
-) -> Partition:
-    rows = vecs.copy()
-    norms = np.linalg.norm(rows, axis=1)
-    positive = norms > 0.0
-    rows[positive] /= norms[positive, None]
-    part = kmeans(rows, n_clusters, seed)
-    if zero_degree.any() and data is not None and subspace_dim is not None:
-        labels = _attach_isolated(part.labels.copy(), zero_degree, data, subspace_dim, n_clusters)
-        part = Partition(labels, n_clusters)
-    return part
+) -> list[Partition]:
+    """One partition per (embedding, zero-degree mask), from one stacked k-means call."""
+    rows = np.empty((len(embeddings),) + embeddings[0][0].shape)
+    for stacked, (vecs, _) in zip(rows, embeddings):
+        norms = np.linalg.norm(vecs, axis=1)
+        positive = norms > 0.0
+        stacked[:] = vecs
+        stacked[positive] /= norms[positive, None]
+    parts = kmeans(rows, n_clusters, seeds)
+    if data is None or subspace_dim is None:
+        return parts
+    for i, (part, (_, zero_degree)) in enumerate(zip(parts, embeddings)):
+        if zero_degree.any():
+            labels = _attach_isolated(part.labels.copy(), zero_degree, data, subspace_dim, n_clusters)
+            parts[i] = Partition(labels, n_clusters)
+    return parts
 
 
 def _attach_isolated(labels, zero_degree, data, subspace_dim, n_clusters):
@@ -222,7 +255,7 @@ def spectral_cluster(
     zero_degree, inv_sqrt = _inverse_sqrt_degree(W.sum(axis=1))
     M = W * inv_sqrt[:, None] * inv_sqrt[None, :]
     _, vecs = scipy.linalg.eigh(M, subset_by_index=(n - n_clusters, n - 1))
-    return _embedding_to_labels(vecs, n_clusters, seed, zero_degree, data, subspace_dim)
+    return _embeddings_to_labels([(vecs, zero_degree)], n_clusters, [seed], data, subspace_dim)[0]
 
 
 def _factored_embedding(A: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -258,26 +291,37 @@ def _factored_embedding(A: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.
 
 
 def spectral_cluster_factored(
-    affinity,
+    affinities,
     n_clusters: int,
-    seed: int,
+    seeds,
     *,
     data=None,
     subspace_dim: int | None = None,
-) -> Partition:
-    """Same as ``spectral_cluster`` on A A^T without materializing the N x N matrix.
+) -> list[Partition]:
+    """``spectral_cluster`` on A A^T for each affinity A, without forming the N x N matrix.
 
-    Works on the (N, c) affinity factor directly: one symmetric
-    eigensolve of size min(N, c), so storage stays O(N * c). This is the
+    ``affinities`` is an iterable of (N, c) affinity factors, one per seed
+    in ``seeds``; it is read one factor at a time, and each factor is
+    reduced to its (N, n_clusters) embedding before the next is read, so
+    storage stays O(N * c) however many there are. Each embedding costs one
+    symmetric eigensolve of size min(N, c). The embeddings then go through
+    one stacked k-means call, and the result holds one partition per
+    affinity, each what a call on that affinity alone gives. This is the
     engine's spectral path at every N.
     """
-    A = np.asarray(affinity, dtype=np.float64)
-    if A.ndim != 2:
-        raise ValueError("affinity must be a 2-D matrix")
-    n = A.shape[0]
+    seeds = list(seeds)
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
-    if n < n_clusters:
-        raise ValueError(f"cannot split {n} points into {n_clusters} clusters")
-    vecs, zero_degree = _factored_embedding(A, n_clusters)
-    return _embedding_to_labels(vecs, n_clusters, seed, zero_degree, data, subspace_dim)
+    embeddings = []
+    for affinity in affinities:
+        A = np.asarray(affinity, dtype=np.float64)
+        if A.ndim != 2:
+            raise ValueError("affinity must be a 2-D matrix")
+        if A.shape[0] < n_clusters:
+            raise ValueError(f"cannot split {A.shape[0]} points into {n_clusters} clusters")
+        if embeddings and A.shape[0] != embeddings[0][0].shape[0]:
+            raise ValueError("every affinity must have the same number of rows")
+        embeddings.append(_factored_embedding(A, n_clusters))
+    if len(embeddings) != len(seeds) or not embeddings:
+        raise ValueError(f"need one seed per affinity, got {len(seeds)} for {len(embeddings)}")
+    return _embeddings_to_labels(embeddings, n_clusters, seeds, data, subspace_dim)

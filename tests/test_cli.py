@@ -4,12 +4,14 @@ import os
 import re
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
 
+import scc.cli
 from scc.cli import main
 from scc.dataio import SynthSpec, load_sequence, save_sequence, synth_affine_motion
 from scc.engine import _blas_thread_controls, sweep_and_cluster
@@ -252,6 +254,86 @@ def test_bench_rejects_a_bad_config_before_starting_workers(tmp_path, monkeypatc
     # fewer sample sets than clusters: SccConfig's ValueError, exit 3
     assert _run_bench(data_dir, tmp_path / "out", extra=["--workers", "2", "--c", "1"]) == 3
     assert not (tmp_path / "out").exists()
+
+
+def test_bench_rejects_duplicate_regimes_before_running_a_cell(tmp_path, monkeypatch, capsys):
+    def no_cell(*args, **kwargs):
+        raise AssertionError("a cell ran")
+
+    monkeypatch.setattr("scc.cli._bench_one", no_cell)
+    monkeypatch.setattr("scc.cli.ProcessPoolExecutor", no_cell)
+    data_dir = _make_suite(tmp_path)
+    for regimes, named in ((["3,2F", "3,ambient"], "3,2F"), (["3,4k", "3,4K"], "3,4K"), (["4,d+1", "3,4K", "4,D+1"], "4,d+1")):
+        for workers in ("1", "2"):
+            out_dir = tmp_path / f"out-{regimes[-1]}-{workers}"
+            capsys.readouterr()
+            args = ["bench", "--data", str(data_dir), "--out", str(out_dir), "--repeats", "1",
+                    "--workers", workers, "--regimes", *regimes]
+            assert main(args) == 3
+            assert f"repeats {named}" in capsys.readouterr().err
+            assert not out_dir.exists()
+
+
+class _RecordingPool(ProcessPoolExecutor):
+    """A real process pool that records the order of the tasks it is handed."""
+
+    handed: list = []
+
+    def map(self, fn, *iterables, **kwargs):
+        tasks = list(iterables[0])
+        _RecordingPool.handed.append(tasks)
+        return super().map(fn, tasks, **kwargs)
+
+
+def test_bench_hands_out_longest_cells_first_with_unchanged_outputs(tmp_path, monkeypatch):
+    data_dir = tmp_path / "suite"
+    data_dir.mkdir()
+    # file order mixes the sizes, so it is not the cost order
+    for name, n, seed in (("a.seq", 40, 31), ("b.seq", 120, 32), ("c.seq", 40, 33), ("d.seq", 120, 34)):
+        _synth(data_dir, name, mode="motion", K=2, N=n, F=8, noise=0.002, seed=seed)
+    sizes = {load_sequence(p).sequence_id: load_sequence(p).n_points for p in data_dir.glob("*.seq")}
+    c, frames = 60, 8
+
+    def cost(task):
+        record, config = task[:2]
+        working_dim = 2 * frames if config.projection == "ambient" else config.subspace_dim + 1
+        return sizes[record.sequence_id] * c * working_dim
+
+    handed = []
+    serial_cell = scc.cli._bench_one
+
+    def recording_cell(task):
+        handed.append(task)
+        return serial_cell(task)
+
+    _RecordingPool.handed = []
+    monkeypatch.setattr("scc.cli.ProcessPoolExecutor", _RecordingPool)
+    outs = {}
+    for workers in ("1", "2"):
+        outs[workers] = tmp_path / f"out-{workers}"
+        args = ["bench", "--data", str(data_dir), "--out", str(outs[workers]), "--repeats", "1",
+                "--regimes", "3,d+1", "4,2F", "--seed", "2", "--c", str(c), "--max-iterations", "2",
+                "--workers", workers]
+        with monkeypatch.context() as patch:
+            if workers == "1":  # the serial path calls the cell function in process
+                patch.setattr("scc.cli._bench_one", recording_cell)
+            assert main(args) == 0
+    assert len(_RecordingPool.handed) == 1
+    for order in (handed, _RecordingPool.handed[0]):
+        costs = [cost(task) for task in order]
+        assert len(costs) == 8 and len(set(costs)) == 4
+        assert costs == sorted(costs, reverse=True)
+
+    names = ["records.csv", "report.csv", "report.txt"]
+    names += sorted(p.name for p in outs["1"].glob("hist_*.csv"))
+    assert len(names) == 5
+    for name in names:
+        assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+    keys = {}
+    for workers, out_dir in outs.items():
+        with (out_dir / "timings.csv").open(newline="") as handle:
+            keys[workers] = [tuple(row[:2]) for row in csv.reader(handle)][1:]
+    assert keys["1"] == keys["2"] == sorted(keys["1"])
 
 
 def test_bench_rejects_fewer_than_one_worker(tmp_path):

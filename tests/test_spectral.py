@@ -124,8 +124,14 @@ def test_factored_matches_dense():
     for shape in ((40, 10), (10, 40), (25, 25)):
         aff = rng.random(shape)
         dense = spectral_cluster(pairwise_weights(aff), 3, seed=8)
-        factored = spectral_cluster_factored(aff, 3, seed=8)
+        [factored] = spectral_cluster_factored([aff], 3, [8])
         assert misclassification_rate(factored, dense) == 0.0
+    # several affinities in one call: each gets the partition a call of its own gives
+    affs = [rng.random((30, 12)) for _ in range(3)]
+    together = spectral_cluster_factored(iter(affs), 3, [1, 2, 3])
+    assert len(together) == 3
+    for aff, seed, part in zip(affs, [1, 2, 3], together):
+        assert np.array_equal(part.labels, spectral_cluster_factored([aff], 3, [seed])[0].labels)
     # rank(B) < K on either side (two nonzero columns), and K > c
     degenerate = (
         np.hstack([rng.random((30, 2)), np.zeros((30, 6))]),
@@ -137,8 +143,8 @@ def test_factored_matches_dense():
         assert vecs.shape == (aff.shape[0], 3) and not zero_degree.any()
         assert np.isfinite(vecs).all()
         assert not vecs[:, 0].any()  # the direction B does not span embeds as zeros
-        first = spectral_cluster_factored(aff, 3, seed=8)
-        again = spectral_cluster_factored(aff, 3, seed=8)
+        [first] = spectral_cluster_factored([aff], 3, [8])
+        [again] = spectral_cluster_factored(iter([aff]), 3, [8])
         assert first.n_clusters == 3 and np.array_equal(first.labels, again.labels)
 
 
@@ -190,7 +196,8 @@ def test_lloyd_cost_is_the_wcss_of_its_labels():
     # one iteration stops before convergence, 100 runs to it
     for (rows, centers), max_iter in itertools.product(cases, (1, 100)):
         n_restarts, k = centers.shape[:2]
-        labels, costs = _lloyd(rows, np.einsum("ij,ij->i", rows, rows), centers.copy(), max_iter)
+        labels, costs = _lloyd(rows[None], np.einsum("ij,ij->i", rows, rows)[None], centers[None].copy(), max_iter)
+        labels, costs = labels[0], costs[0]
         assert labels.shape == (n_restarts, rows.shape[0]) and costs.shape == (n_restarts,)
         for restart_labels, cost in zip(labels, costs):
             assert np.bincount(restart_labels, minlength=k).min() >= 1
@@ -251,9 +258,10 @@ def test_kmeans_matches_sequential_oracle_on_scc_embeddings(monkeypatch):
     calls = []
     batched = scc.spectral.kmeans
 
-    def recording(rows, n_clusters, seed):
-        calls.append((rows.copy(), n_clusters, seed))
-        return batched(rows, n_clusters, seed)
+    def recording(rows, n_clusters, seeds):
+        assert rows.ndim == 3 and len(seeds) == rows.shape[0]  # one stacked call per sweep
+        calls.extend((group.copy(), n_clusters, seed) for group, seed in zip(rows, seeds))
+        return batched(rows, n_clusters, seeds)
 
     monkeypatch.setattr(scc.spectral, "kmeans", recording)
     for k in (2, 3):
@@ -265,6 +273,38 @@ def test_kmeans_matches_sequential_oracle_on_scc_embeddings(monkeypatch):
     for rows, n_clusters, seed in calls:
         assert np.allclose(np.linalg.norm(rows, axis=1)[rows.any(axis=1)], 1.0)
         _assert_matches_sequential(rows, n_clusters, seed)
+
+
+def test_kmeans_stack_matches_separate_calls_and_the_sequential_oracle(monkeypatch):
+    rng = np.random.default_rng(21)
+    n = 40
+    spread = rng.standard_normal((n, 2))
+    blobs = np.array([[4.0, 0.0], [0.0, 4.0], [-4.0, -4.0]])[np.arange(n) % 3]
+    blobs = blobs + 0.01 * rng.standard_normal((n, 2))
+    # two distinct values for three clusters: the empty-cluster repair runs
+    repair = np.repeat([[0.25, -1.5], [1.0, 0.75]], n // 2, axis=0)
+    stack = np.stack([spread, blobs, repair, np.zeros((n, 2))])
+    seed = 5
+    # the spread group is still moving after three iterations, when the
+    # others have reached their final labels: it stops steps after them
+    for budget in range(1, 4):
+        assert not np.array_equal(kmeans_sequential(spread, 3, seed, max_iter=budget), kmeans_sequential(spread, 3, seed))
+        for group in stack[1:]:
+            assert np.array_equal(kmeans_sequential(group, 3, seed, max_iter=budget), kmeans_sequential(group, 3, seed))
+    for budget in (2, 4, scc.spectral.KMEANS_MAX_ITER):
+        monkeypatch.setattr(scc.spectral, "KMEANS_MAX_ITER", budget)
+        for order in ([0, 1, 2, 3], [3, 2, 1, 0], [1, 0]):
+            parts = kmeans(stack[order], 3, [seed] * len(order))
+            assert len(parts) == len(order)
+            for g, part in zip(order, parts):
+                assert np.array_equal(part.labels, kmeans(stack[g], 3, seed).labels)
+                assert np.array_equal(part.labels, kmeans_sequential(stack[g], 3, seed, max_iter=budget))
+    monkeypatch.undo()
+    # each group draws from its own seed
+    parts = kmeans(np.stack([spread, spread, spread]), 3, [0, 1, 2])
+    for seed, part in enumerate(parts):
+        assert np.array_equal(part.labels, kmeans_sequential(spread, 3, seed))
+    assert kmeans(np.zeros((4, 10, 3)), 3, range(4))[3].labels.tolist() == [1, 2] + [0] * 8
 
 
 def test_kmeans_all_zero_rows_have_a_defined_partition():
@@ -281,3 +321,7 @@ def test_kmeans_validation():
         kmeans(np.zeros((3, 2)), 4, seed=0)
     with pytest.raises(ValueError):
         kmeans(np.zeros((3, 2)), 0, seed=0)
+    with pytest.raises(ValueError):
+        kmeans(np.zeros((2, 3, 2)), 2, [0])  # one seed per group
+    with pytest.raises(ValueError):
+        kmeans(np.zeros((0, 3, 2)), 2, [])
