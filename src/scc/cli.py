@@ -327,11 +327,8 @@ def _emit_reports(out_dir: Path, records_path: Path, include_reference: bool) ->
 
     rows_by_method: dict[str, list[AggregateRow]] = {}
     for method in sorted(by_method):
-        rows: list[AggregateRow] = []
-        for motions in motions_values:
-            if any(r.n_motions == motions for r in by_method[method]):
-                rows.extend(aggregate(by_method[method], motions))
-        rows_by_method[method] = rows
+        records = by_method[method]
+        rows_by_method[method] = [row for motions in motions_values for row in aggregate(records, motions)]
     if include_reference:
         # the published table names methods as bench does; its rows join apart from the measured ones
         for motions in motions_values:

@@ -21,7 +21,9 @@ squared volume times the squared distance from x to the subset's flat
 reads every quantity off each point's coordinates in that subset's frame,
 in units of the subset's extent. Nothing is formed from squared norms of
 the raw coordinates, whose cancellation would tie the result's accuracy to
-the data's origin and units.
+the data's origin and units. ``polar_curvature_sq`` is the one-tuple case of
+that kernel; the reference it is tested against is an explicit
+Cayley-Menger loop over the definition (``tests/oracles.py``).
 
 Sample sets are integer arrays of shape (c, d+1): c subsets of point
 indices, distinct within each row.
@@ -92,29 +94,18 @@ def simplex_gram_det(points, flat_dim: int) -> float:
 def polar_curvature_sq(points, flat_dim: int) -> float:
     """Squared polar curvature of a tuple of flat_dim+2 points.
 
-    Returns 0.0 when all points coincide and +inf when the tuple contains a
-    duplicated point but is not fully degenerate (such tuples carry no
-    evidence about any flat, and an infinite curvature maps to affinity 0).
+    This is the one-tuple case of ``curvature_matrix``: the first point is
+    scored against the flat of the other flat_dim+1. Returns 0.0 when all
+    points coincide and +inf when the tuple contains a duplicated point but
+    is not fully degenerate (such tuples carry no evidence about any flat,
+    and an infinite curvature maps to affinity 0).
 
     The value is invariant under rigid motions and permutations of the
     points and homogeneous of degree 2 under uniform scaling:
     ``polar_curvature_sq(s * X) == s**2 * polar_curvature_sq(X)``.
     """
     pts = _as_tuple(points, flat_dim)
-    m = pts.shape[1]
-    diffs = pts[:, :, None] - pts[:, None, :]
-    sq = np.einsum("ijk,ijk->jk", diffs, diffs)
-    diam_sq = float(sq.max())
-    off_diag = sq[~np.eye(m, dtype=bool)]
-    if (off_diag == 0.0).any():
-        return 0.0 if diam_sq == 0.0 else float("inf")
-    # on the tuple scaled to unit diameter no product over- or underflows
-    det = simplex_gram_det(pts / np.sqrt(diam_sq), flat_dim)
-    prods = sq / diam_sq
-    np.fill_diagonal(prods, 1.0)
-    vertex_products = prods.prod(axis=1)
-    total = float((det / vertex_products).sum()) / m
-    return diam_sq * total
+    return float(curvature_matrix(pts, np.arange(1, flat_dim + 2)[None, :])[0][0, 0])
 
 
 # chunking bound: entries of the (chunk, D, N) stack of offsets from each subset's anchor

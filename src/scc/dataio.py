@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import seeding
-from .geometry import Partition, as_data_matrix, fit_affine_ols, subspace_sq_distances
+from .geometry import Partition, as_data_matrix
 
 __all__ = [
     "SequenceParseError",
@@ -344,12 +344,9 @@ def _check_affine_containment(trajectories: np.ndarray, labels: Partition) -> No
     """Every noiseless body must fit a 3-dim affine subspace to 1e-9 relative."""
     for k in range(labels.n_clusters):
         block = trajectories[:, labels.members(k)]
-        centered = block - block.mean(axis=1, keepdims=True)
-        scatter = float(np.einsum("ij,ij->", centered, centered))
-        if scatter == 0.0:
-            continue
-        fit = fit_affine_ols(block, min(3, block.shape[1] - 1))
-        residual = float(subspace_sq_distances(block, fit).sum())
+        singular = np.linalg.svd(block - block.mean(axis=1, keepdims=True), compute_uv=False)
+        residual = float(np.sum(singular[3:] ** 2))
+        scatter = float(np.sum(singular**2))
         if residual > 1e-9 * scatter:
             raise RuntimeError(
                 f"generated body {k} is not contained in a 3-dim affine subspace "

@@ -78,7 +78,7 @@ class AffineSubspace:
 class Partition:
     """Cluster labels for N points, values in 0..n_clusters-1.
 
-    Empty clusters are allowed (``empty_clusters`` reports them) so that the
+    Empty clusters are allowed (``sizes`` reports them as zeros) so that the
     declared number of clusters survives degenerate intermediate states.
     """
 
@@ -105,9 +105,6 @@ class Partition:
 
     def sizes(self) -> np.ndarray:
         return np.bincount(self.labels, minlength=self.n_clusters)
-
-    def empty_clusters(self) -> list[int]:
-        return [int(k) for k in np.flatnonzero(self.sizes() == 0)]
 
     def members(self, k: int) -> np.ndarray:
         return np.flatnonzero(self.labels == k)

@@ -7,9 +7,9 @@ embedding comes from the smaller side of B = Deg^{-1/2} A (the left singular
 vectors of B), so the N x N matrix is never formed; the factored path takes
 several affinities (the bandwidth candidates of one sweep), embeds them one
 at a time and clusters all their embeddings in one k-means call.
-K-means takes one embedding or a stack of them, each with its own seed and
-generator, which draws the k-means++ start of every restart in turn. All
-restarts of all embeddings then run their Lloyd iterations together, as one
+K-means takes a stack of embeddings, each with its own seed and generator,
+which draws the k-means++ start of every restart in turn. All restarts of
+all embeddings then run their Lloyd iterations together, as one
 batch that gives each restart the labels a run of its own would (the same
 per-embedding products and row-order sums), and per embedding the restart
 of least cost wins (the earlier on a tie).
@@ -131,27 +131,23 @@ def _lloyd(
     return labels, np.array(costs)
 
 
-def kmeans(rows, n_clusters: int, seed):
-    """Seeded k-means on the rows of a matrix, or of each matrix of a stack.
+def kmeans(rows, n_clusters: int, seeds) -> list[Partition]:
+    """Seeded k-means on the rows of each matrix of a (groups, N, dim) stack.
 
-    ``rows`` is one (N, dim) matrix with an integer ``seed``, and the result
-    one Partition; or a (groups, N, dim) stack with one seed per group, and
-    the result a list of Partitions, each what a call on its group alone
-    gives. One generator per group draws the D^2-weighted (k-means++)
-    start of every restart in turn: a row index, then n_clusters - 1
-    uniforms. All restarts of all groups then run their Lloyd iterations
-    together, each until its labels repeat, and each ends with the labels it
-    would reach alone (the sequential loop in ``tests/oracles.py`` is the
-    reference). Per group, the labeling of smallest within-cluster sum of
-    squares is kept, and on a tie the earlier restart wins. Deterministic
-    for fixed inputs.
+    ``seeds`` holds one seed per group, and the result is one Partition per
+    group, each what a call on its group alone gives. One generator per
+    group draws the D^2-weighted (k-means++) start of every restart in turn:
+    a row index, then n_clusters - 1 uniforms. All restarts of all groups
+    then run their Lloyd iterations together, each until its labels repeat,
+    and each ends with the labels it would reach alone (the sequential loop
+    in ``tests/oracles.py`` is the reference). Per group, the labeling of
+    smallest within-cluster sum of squares is kept, and on a tie the earlier
+    restart wins. Deterministic for fixed inputs.
     """
-    mat = np.asarray(rows, dtype=np.float64)
-    single = mat.ndim == 2
-    stack = mat[None] if single else mat
-    seeds = [seed] if single else list(seed)
+    stack = np.asarray(rows, dtype=np.float64)
+    seeds = list(seeds)
     if stack.ndim != 3 or stack.shape[0] < 1 or stack.shape[1] < 1:
-        raise ValueError("rows must be a nonempty 2-D matrix or a stack of them")
+        raise ValueError("rows must be a nonempty (groups, N, dim) stack of row matrices")
     if len(seeds) != stack.shape[0]:
         raise ValueError(f"{stack.shape[0]} row matrices need as many seeds, got {len(seeds)}")
     n = stack.shape[1]
@@ -171,7 +167,7 @@ def kmeans(rows, n_clusters: int, seed):
             if cost < best_cost:  # strict, so a tie keeps the earlier restart
                 best, best_cost = r, cost
         partitions.append(Partition(group_labels[best], n_clusters))
-    return partitions[0] if single else partitions
+    return partitions
 
 
 def _check_weights(weights) -> np.ndarray:

@@ -144,14 +144,14 @@ def _random_case(seed, n=14, d=2, c=6, ambient=5):
 def test_curvature_matrix_matches_per_tuple_recomputation():
     data, sets = _random_case(11)
     curv, member = curvature_matrix(data, sets)
-    d = sets.shape[1] - 1
     for r in range(sets.shape[0]):
         for i in range(data.shape[1]):
             if member[i, r]:
                 assert i in sets[r]
                 continue
             tup = np.column_stack([data[:, i], data[:, sets[r]]])
-            assert curv[i, r] == pytest.approx(polar_curvature_sq(tup, d), rel=1e-8, abs=1e-12)
+            expected = polar_curvature_sq_reference(tup)
+            assert curv[i, r] == pytest.approx(expected, rel=1e-8, abs=1e-12)
 
 
 def test_curvature_matrix_handles_duplicate_points():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scc import dataio
 from scc.dataio import (
     SequenceParseError,
     SequenceRecord,
@@ -180,6 +181,22 @@ def test_motion_single_body_is_three_dim_affine():
     fit = fit_affine_ols(traj, 3)
     residual = subspace_sq_distances(traj, fit).sum()
     assert residual <= 1e-9 * total_scatter(traj)
+
+
+def test_motion_containment_check_rejects_a_body_off_a_three_flat(monkeypatch):
+    spec = SynthSpec(n_clusters=2, points_per_cluster=10, seed=4, n_frames=6)
+    finalize = dataio._finalize
+
+    def lift_second_body(X, spec, rng):
+        # one more direction: body 1 spans a 4-flat
+        X = finalize(X, spec, rng).copy()
+        gen = np.random.default_rng(0)
+        X[:, 10:] += np.outer(gen.standard_normal(X.shape[0]), gen.standard_normal(10))
+        return X
+
+    monkeypatch.setattr(dataio, "_finalize", lift_second_body)
+    with pytest.raises(RuntimeError, match="body 1 is not contained"):
+        synth_affine_motion(spec)
 
 
 def test_motion_minimal_sequence():

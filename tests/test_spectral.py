@@ -151,14 +151,14 @@ def test_factored_matches_dense():
 def test_kmeans_every_point_its_own_cluster():
     rng = np.random.default_rng(2)
     rows = rng.standard_normal((6, 2))
-    part = kmeans(rows, 6, seed=0)
+    [part] = kmeans(rows[None], 6, [0])
     assert sorted(part.labels.tolist()) == list(range(6))
     assert labeling_cost(rows, part.labels, 6) == 0.0
 
 
 def test_kmeans_two_point_masses():
     rows = np.vstack([np.zeros((5, 2)), np.ones((4, 2))])
-    part = kmeans(rows, 2, seed=1)
+    [part] = kmeans(rows[None], 2, [1])
     assert len(set(part.labels[:5])) == 1
     assert len(set(part.labels[5:])) == 1
     assert part.labels[0] != part.labels[5]
@@ -168,7 +168,7 @@ def test_kmeans_two_point_masses():
 def test_kmeans_beats_random_labelings():
     rng = np.random.default_rng(7)
     rows = rng.standard_normal((50, 2))
-    part = kmeans(rows, 3, seed=5)
+    [part] = kmeans(rows[None], 3, [5])
     cost = labeling_cost(rows, part.labels, 3)
     for _ in range(100):
         random_cost = labeling_cost(rows, rng.integers(0, 3, 50), 3)
@@ -178,8 +178,8 @@ def test_kmeans_beats_random_labelings():
 def test_kmeans_deterministic():
     rng = np.random.default_rng(4)
     rows = rng.standard_normal((30, 3))
-    a = kmeans(rows, 4, seed=9)
-    b = kmeans(rows, 4, seed=9)
+    [a] = kmeans(rows[None], 4, [9])
+    [b] = kmeans(rows[None], 4, [9])
     assert np.array_equal(a.labels, b.labels)
 
 
@@ -205,7 +205,7 @@ def test_lloyd_cost_is_the_wcss_of_its_labels():
 
 
 def _assert_matches_sequential(rows, k, seed):
-    got = kmeans(rows, k, seed).labels
+    got = kmeans(rows[None], k, [seed])[0].labels
     want = kmeans_sequential(rows, k, seed)
     assert np.array_equal(got, want), (rows.shape, k, seed)
     return got
@@ -232,7 +232,7 @@ def test_kmeans_matches_sequential_oracle_under_a_short_iteration_budget(monkeyp
         monkeypatch.setattr(scc.spectral, "KMEANS_MAX_ITER", max_iter)
         for trial in range(4):
             rows = np.random.default_rng(50 + trial).standard_normal((80, 2))
-            got = kmeans(rows, 5, seed=trial).labels
+            got = kmeans(rows[None], 5, [trial])[0].labels
             assert np.array_equal(got, kmeans_sequential(rows, 5, trial, max_iter=max_iter))
 
 
@@ -297,7 +297,7 @@ def test_kmeans_stack_matches_separate_calls_and_the_sequential_oracle(monkeypat
             parts = kmeans(stack[order], 3, [seed] * len(order))
             assert len(parts) == len(order)
             for g, part in zip(order, parts):
-                assert np.array_equal(part.labels, kmeans(stack[g], 3, seed).labels)
+                assert np.array_equal(part.labels, kmeans(stack[g][None], 3, [seed])[0].labels)
                 assert np.array_equal(part.labels, kmeans_sequential(stack[g], 3, seed, max_iter=budget))
     monkeypatch.undo()
     # each group draws from its own seed
@@ -318,9 +318,11 @@ def test_kmeans_all_zero_rows_have_a_defined_partition():
 
 def test_kmeans_validation():
     with pytest.raises(ValueError):
-        kmeans(np.zeros((3, 2)), 4, seed=0)
+        kmeans(np.zeros((1, 3, 2)), 4, [0])
     with pytest.raises(ValueError):
-        kmeans(np.zeros((3, 2)), 0, seed=0)
+        kmeans(np.zeros((1, 3, 2)), 0, [0])
+    with pytest.raises(ValueError):
+        kmeans(np.zeros((3, 2)), 2, [0])  # a bare (N, dim) matrix is not a stack
     with pytest.raises(ValueError):
         kmeans(np.zeros((2, 3, 2)), 2, [0])  # one seed per group
     with pytest.raises(ValueError):
