@@ -5,21 +5,53 @@ Runs the timing loop of the acceptance gate
 ``tests/test_acceptance.py::test_complexity_scaling`` (its cases, warm-up
 and interleaving) ``--rounds`` times and prints each round's median ratios,
 which the gate bounds to [1.5, 3], then the median and the minimum of each
-ratio over the rounds. Near-linear scaling in both N and c shows up as
+ratio over the rounds. Beside them it prints each case's median run
+seconds and median ``curvature_matrix`` seconds per run, timed by wrapping
+the engine's kernel call, so a change to the kernel shows how much of the
+gate's margin it moves. Near-linear scaling in both N and c shows up as
 ratios close to 2.
 
     python scripts/scaling_probe.py --base-n 200 --base-c 200 --runs 5 --rounds 10
 """
 
 import argparse
+import itertools
 import statistics
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
+import scc.engine
 from test_acceptance import _scaling_medians
+
+# (N, c, seconds) of every curvature_matrix call the engine makes
+_KERNEL_CALLS: list[tuple[int, int, float]] = []
+
+
+def _timed_kernel(kernel):
+    def timed(data, sample_sets):
+        start = time.perf_counter()
+        result = kernel(data, sample_sets)
+        _KERNEL_CALLS.append((data.shape[1], len(sample_sets), time.perf_counter() - start))
+        return result
+
+    return timed
+
+
+def _kernel_medians() -> dict[tuple[int, int], float]:
+    """Median kernel seconds per run of each (N, c) case, warm-up run excluded.
+
+    The gate interleaves its three cases, so each run of a case is one
+    unbroken streak of calls with that case's (N, c).
+    """
+    per_run: dict[tuple[int, int], list[float]] = {}
+    for case, calls in itertools.groupby(_KERNEL_CALLS, key=lambda call: call[:2]):
+        per_run.setdefault(case, []).append(sum(call[2] for call in calls))
+    _KERNEL_CALLS.clear()
+    return {case: statistics.median(runs[1:]) for case, runs in per_run.items()}
 
 
 def main() -> int:
@@ -32,15 +64,23 @@ def main() -> int:
     if args.rounds < 1:
         parser.error("--rounds must be at least 1")
 
+    scc.engine.curvature_matrix = _timed_kernel(scc.engine.curvature_matrix)
+    cases = {
+        "base": (args.base_n, args.base_c),
+        "N2": (2 * args.base_n, args.base_c),
+        "c2": (args.base_n, 2 * args.base_c),
+    }
     ratios = {"N": [], "c": []}
     for round_no in range(1, args.rounds + 1):
         medians = _scaling_medians(args.base_n, args.base_c, args.runs)
+        kernel = _kernel_medians()
         ratios["N"].append(medians["N2"] / medians["base"])
         ratios["c"].append(medians["c2"] / medians["base"])
+        split = ", ".join(f"{name} {medians[name]:.3f}/{kernel[case]:.3f}" for name, case in cases.items())
         print(
             f"round {round_no}: N={args.base_n}, c={args.base_c}: median {medians['base']:.3f} s "
             f"over {args.runs} runs; doubling N -> x{ratios['N'][-1]:.2f}, "
-            f"doubling c -> x{ratios['c'][-1]:.2f}",
+            f"doubling c -> x{ratios['c'][-1]:.2f}; run/curvature s: {split}",
             flush=True,
         )
     for name, values in ratios.items():

@@ -108,8 +108,15 @@ def polar_curvature_sq(points, flat_dim: int) -> float:
     return float(curvature_matrix(pts, np.arange(1, flat_dim + 2)[None, :])[0][0, 0])
 
 
-# chunking bound: entries of the (chunk, D, N) stack of offsets from each subset's anchor
-_CHUNK_ENTRIES = 1 << 21
+# entries (4 MB) of the largest per-chunk temporary of ``_curvature_block``:
+# the (b, D, N) offsets or the (b, min(D, d), d+1, N) vertex differences.
+# At perfbench large_n size (N = 6000, D = 20, c = 300) a call took about
+# 0.33 s at 2 to 8 MB and 0.65 s at 16 MB, where every chunk's temporaries
+# came from fresh pages (some 26k page faults per call under glibc's default
+# malloc settings). At 1 MB the kernel scales linearly in N and c, and the
+# fixed per-run costs pull the doubling ratios of test_complexity_scaling
+# down to its 1.5 floor.
+_CHUNK_ENTRIES = 1 << 19
 # squared distance, in units of the subset's extent, below which two points coincide
 _DUP_TOL = (1e3 * _EPS) ** 2
 
@@ -128,8 +135,9 @@ def curvature_matrix(data, sample_sets) -> tuple[np.ndarray, np.ndarray]:
     T = Q^T (x - anchor) in that frame and squared distance h^2 to the
     subset's flat, so the tuple's squared volume term is
     prod(diag(R))^2 * h^2 and its squared distance to subset point j is
-    |T - R_j|^2 + h^2. Columns are evaluated in memory-bounded chunks at
-    O(d * D * N) cost per column; the output does not depend on chunk
+    |T - R_j|^2 + h^2. Columns are evaluated in chunks whose largest
+    temporary holds at most ``_CHUNK_ENTRIES`` entries (or one column's),
+    at O(d * D * N) cost per column; the output does not depend on chunk
     boundaries.
     """
     X = as_data_matrix(data)
@@ -140,7 +148,9 @@ def curvature_matrix(data, sample_sets) -> tuple[np.ndarray, np.ndarray]:
     curv = np.empty((n, c))
     member = np.zeros((n, c), dtype=bool)
 
-    chunk = max(1, _CHUNK_ENTRIES // (ambient * n))
+    # per subset: the wider of the (D, N) offsets and the (min(D, d), d+1, N)
+    # vertex differences, the largest temporaries of _curvature_block
+    chunk = max(1, _CHUNK_ENTRIES // (n * max(ambient, min(ambient, m - 1) * m)))
     for start in range(0, c, chunk):
         block = sets[start : start + chunk]
         curv[:, start : start + block.shape[0]] = _curvature_block(X, block).T
@@ -206,12 +216,17 @@ def _curvature_block(X: np.ndarray, sets: np.ndarray) -> np.ndarray:
 
 
 def affinity_from_curvatures(curv: np.ndarray, member: np.ndarray, sigma_sq: float) -> np.ndarray:
-    """exp(-curv / (2 sigma_sq)) with member entries and infinite curvatures set to 0."""
+    """exp(-curv / (2 sigma_sq)) with member entries set to 0.
+
+    Curvatures are nonnegative or +inf, as ``curvature_matrix`` returns
+    them; an infinite one maps to exp(-inf) = 0. The result is computed in
+    one (N, c) array.
+    """
     if not sigma_sq > 0.0:
         raise ValueError("sigma_sq must be positive")
-    with np.errstate(over="ignore", invalid="ignore"):
-        aff = np.exp(-curv / (2.0 * sigma_sq))
-    aff[~np.isfinite(curv)] = 0.0
+    with np.errstate(over="ignore"):
+        aff = np.divide(curv, -2.0 * sigma_sq)
+    np.exp(aff, out=aff)
     aff[member] = 0.0
     return aff
 

@@ -89,43 +89,60 @@ def _lloyd(
     Returns the (groups, restarts, n) labels and the WCSS of each restart's
     labels, (groups, restarts). A restart whose labels repeat stops
     updating; the others go on, each for at most ``max_iter`` iterations.
+    A group leaves the batch once none of its restarts moves; the others
+    keep their per-group product shapes, so their labels do not change.
     """
     n_groups, n, dim = rows.shape
     n_restarts, k = centers.shape[1:3]
-    runs = n_groups * n_restarts
     labels = np.full((n_groups, n, n_restarts), -1)
-    # restart r of group g owns the clusters (g * restarts + r) * k .. + k - 1
-    bins = k * np.arange(runs).reshape(n_groups, 1, n_restarts)
-    columns = np.repeat(rows, n_restarts, axis=1).reshape(-1, dim).T.copy()  # (dim, groups * n * restarts)
+    active = np.arange(n_groups)  # groups with a restart whose labels still move
+    batch_rows, batch_norms, batch_centers, batch_labels = rows, row_norms, centers, labels
+    columns = None
     for _ in range(max_iter):
-        d2 = _sq_distances(rows, row_norms, centers.reshape(n_groups, n_restarts * k, dim))
-        d2 = d2.reshape(n_groups, n, n_restarts, k)
+        if columns is None:
+            runs = active.size * n_restarts
+            # restart r of batch group g owns the clusters (g * restarts + r) * k .. + k - 1
+            bins = k * np.arange(runs).reshape(active.size, 1, n_restarts)
+            # (dim, batch groups * n * restarts)
+            columns = np.repeat(batch_rows, n_restarts, axis=1).reshape(-1, dim).T.copy()
+        d2 = _sq_distances(batch_rows, batch_norms, batch_centers.reshape(active.size, n_restarts * k, dim))
+        d2 = d2.reshape(active.size, n, n_restarts, k)
         new = d2.argmin(axis=3)  # ties go to the lowest center index
         binned = new + bins
-        counts = np.bincount(binned.ravel(), minlength=runs * k).reshape(n_groups, n_restarts, k)
+        counts = np.bincount(binned.ravel(), minlength=runs * k).reshape(active.size, n_restarts, k)
         if not counts.all():
             for g, r in np.argwhere((counts == 0).any(axis=2)):
                 assigned = d2[g, np.arange(n), r, new[g, :, r]]
                 for empty in np.flatnonzero(counts[g, r] == 0):
                     j = int(assigned.argmax())
-                    centers[g, r, empty] = rows[g, j]
+                    batch_centers[g, r, empty] = batch_rows[g, j]
                     new[g, j, r] = empty
                     assigned[j] = -1.0
                 counts[g, r] = np.bincount(new[g, :, r], minlength=k)
             binned = new + bins
-        moving = (new != labels).any(axis=1)  # (groups, restarts)
-        if not moving.any():
-            break
-        np.copyto(labels, new, where=moving[:, None, :])
-        # bincount adds in row order, as np.add.at does, so each sum has the
-        # bits of a sequential per-restart accumulation
-        binned = binned.ravel()
-        sums = [np.bincount(binned, weights=col, minlength=runs * k) for col in columns]
-        sums = np.stack(sums, axis=1).reshape(n_groups, n_restarts, k, dim)
-        centers[moving] = sums[moving] / counts[moving][:, :, None]
+        moving = (new != batch_labels).any(axis=1)  # (batch groups, restarts)
+        if moving.any():
+            np.copyto(batch_labels, new, where=moving[:, None, :])
+            # bincount adds in row order, as np.add.at does, so each sum has the
+            # bits of a sequential per-restart accumulation
+            binned = binned.ravel()
+            sums = [np.bincount(binned, weights=col, minlength=runs * k) for col in columns]
+            sums = np.stack(sums, axis=1).reshape(active.size, n_restarts, k, dim)
+            batch_centers[moving] = sums[moving] / counts[moving][:, :, None]
+        moved = moving.any(axis=1)
+        if not moved.all():
+            labels[active], centers[active] = batch_labels, batch_centers
+            active = active[moved]
+            batch_rows, batch_norms = batch_rows[moved], batch_norms[moved]
+            batch_centers, batch_labels = batch_centers[moved], batch_labels[moved]
+            columns = None
+            if active.size == 0:
+                break
+    labels[active], centers[active] = batch_labels, batch_centers
     labels = labels.transpose(0, 2, 1)
     # centers are the means of the final labels
-    offsets = centers.reshape(runs * k, dim)[labels + bins.reshape(n_groups, n_restarts, 1)]
+    bins = k * np.arange(n_groups * n_restarts).reshape(n_groups, n_restarts, 1)
+    offsets = centers.reshape(-1, dim)[labels + bins]
     np.subtract(rows[:, None], offsets, out=offsets)
     costs = [[np.einsum("ij,ij->", off, off) for off in group] for group in offsets]
     return labels, np.array(costs)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scc import curvature
 from scc.curvature import (
     affinity_from_curvatures,
     curvature_matrix,
@@ -181,6 +182,30 @@ def test_curvature_matrix_flat_dim_zero_is_squared_distance():
         expected[j] = 0.0
         assert np.allclose(curv[:, r], expected, rtol=1e-12, atol=0.0)
         assert member[:, r].sum() == 1 and member[j, r]
+
+
+def test_curvature_matrix_does_not_depend_on_chunk_boundaries(monkeypatch):
+    # d = 3 in R^4: the (b, 3, 4, N) vertex differences, not the (b, 4, N)
+    # offsets, bound the chunk, and the default budget needs several chunks
+    rng = np.random.default_rng(24)
+    n, d, c = 2000, 3, 60
+    data = rng.standard_normal((d + 1, n))
+    data[:, 7] = data[:, 8]  # point 7 scores +inf against every subset holding 8
+    sets = np.array([rng.choice(np.arange(9, n), size=d + 1, replace=False) for _ in range(c)])
+    sets[0, 0] = 8
+    block = curvature._curvature_block
+    chunks = []
+    monkeypatch.setattr(curvature, "_curvature_block", lambda X, s: chunks.append(len(s)) or block(X, s))
+
+    results = []
+    for entries in (curvature._CHUNK_ENTRIES, 1, 1 << 21):
+        monkeypatch.setattr(curvature, "_CHUNK_ENTRIES", entries)
+        chunks.clear()
+        curv, member = curvature_matrix(data, sets)
+        results.append((len(chunks), curv.tobytes(), member.tobytes()))
+    assert [r[0] for r in results] == [3, c, 1]
+    assert curv[7, 0] == math.inf
+    assert results[1][1:] == results[0][1:] == results[2][1:]
 
 
 def test_curvature_vector_flat_data_is_tiny():
