@@ -1,11 +1,15 @@
 #!/usr/bin/env python3
-"""Print a SHA-256 of the labels of every perfbench motion case and large_n trial.
+"""Print a SHA-256 of the labels of every perfbench motion case, large_n trial and protocol cell.
 
-Writes the seeded inputs of the `motion` and `large_n` workloads of
-``perfbench/workloads.py`` to a temporary directory, runs each case once at
-one OpenBLAS thread, as the benchmark does, and prints one line per case:
-its name, the SHA-256 of its int64 labels and its misclassification in
-percent. The mean misclassification of each regime (workload, d and
+Writes the seeded inputs of the `motion`, `large_n` and `protocol`
+workloads of ``perfbench/workloads.py`` to a temporary directory, runs each
+case once at one OpenBLAS thread, as the benchmark does, and prints one
+line per case: its name, the SHA-256 of its int64 labels and its
+misclassification in percent. A `protocol` case is one `scc bench` cell:
+a sequence under one of the workload's regimes, run for each of its
+repeats with the trial seeds `scc bench --seed` gives; its digest covers
+the labels of every repeat, and its error is their mean, as records.csv
+holds it. The mean misclassification of each regime (workload, d and
 projection) and of all cases follows. Two commits give the same partitions
 on a seed exactly when their case lines are equal, and a diff of the two
 outputs also shows what a changed partition did to the accuracy:
@@ -21,6 +25,7 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_
     os.environ[var] = "1"
 
 import argparse
+import dataclasses
 import hashlib
 import statistics
 import sys
@@ -32,9 +37,26 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np
 
-from scc.engine import scc_run
+from scc import load_sequence, seeding
+from scc.cli import _parse_regime
+from scc.engine import SccConfig, scc_run
 from scc.evaluation import misclassification_rate
-from workloads import load_cases, make_inputs
+from workloads import ITERATIONS, PROTOCOL_REGIMES, PROTOCOL_REPEATS, load_cases, make_inputs
+
+
+def protocol_cases(seed: int, inputs: Path):
+    """(name, regime, record, configs) of each `protocol` cell, one config per repeat, as `scc bench` makes them."""
+    for path in sorted(inputs.glob("*.seq")):
+        record = load_sequence(path)
+        for text in PROTOCOL_REGIMES:
+            d, projection = _parse_regime(text)
+            config = SccConfig(subspace_dim=d, n_clusters=record.truth_labels.n_clusters,
+                               max_iterations=ITERATIONS, projection=projection)
+            configs = [
+                dataclasses.replace(config, seed=seeding.stable_text_seed(f"{seed}:{record.sequence_id}:{trial}"))
+                for trial in range(PROTOCOL_REPEATS)
+            ]
+            yield f"{record.sequence_id}:SCC({d},{projection})", f"protocol SCC({d},{projection})", record, configs
 
 
 def main() -> int:
@@ -54,6 +76,15 @@ def main() -> int:
                 regime = f"{workload} SCC({case.config.subspace_dim},{case.config.projection})"
                 errors.setdefault(regime, []).append(error)
                 print(f"{case.name} {digest} {error:.4f}", flush=True)
+        inputs = Path(tmp) / "protocol"
+        make_inputs("protocol", args.seed, inputs)
+        for name, regime, record, configs in protocol_cases(args.seed, inputs):
+            partitions = [scc_run(record.trajectories, config).partition for config in configs]
+            labels = np.concatenate([partition.labels.astype(np.int64) for partition in partitions])
+            digest = hashlib.sha256(labels.tobytes()).hexdigest()
+            error = statistics.fmean(misclassification_rate(p, record.truth_labels) for p in partitions)
+            errors.setdefault(regime, []).append(error)
+            print(f"{name} {digest} {error:.4f}", flush=True)
     for regime, values in errors.items():
         print(f"mean {regime}: {statistics.fmean(values):.4f}% over {len(values)} cases")
     every = [value for values in errors.values() for value in values]

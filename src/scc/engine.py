@@ -340,8 +340,11 @@ def scc_run(data, config: SccConfig) -> SccResult:
             raise ValueError(f"need at least d+2 = {d + 2} points, got {n}")
         if n < config.n_clusters:
             raise ValueError("cannot ask for more clusters than points")
+        work_dim = config.projection_dim(X.shape[0])
+        if d > work_dim:
+            raise ValueError(f"subspace_dim {d} exceeds the working dimension {work_dim}")
 
-        work = project_pca(X, config.projection_dim(X.shape[0]))
+        work = project_pca(X, work_dim)
 
         c = config.sample_set_count
         sets = sample_initial(n, d, c, seeding.generator(config.seed, _STREAM_INITIAL, 0))

@@ -4,13 +4,15 @@ Implements the symmetric-normalization variant: rows are embedded with the
 top-K eigenvectors of Deg^{-1/2} W Deg^{-1/2}, row-normalized, and clustered
 by k-means. For W = A A^T given by its (N, c) affinity factor A, the
 embedding comes from the smaller side of B = Deg^{-1/2} A (the left singular
-vectors of B), so the N x N matrix is never formed; the factored path takes
-several affinities (the bandwidth candidates of one sweep), embeds them one
-at a time and clusters all their embeddings in one k-means call.
+vectors of B, all products in numpy), so the N x N matrix is never formed;
+the factored path takes several affinities (the bandwidth candidates of
+one sweep), embeds them one at a time and clusters all their embeddings in
+one k-means call.
 K-means takes a stack of embeddings, each with its own seed and generator,
 which draws the k-means++ start of every restart in turn. All restarts of
-all embeddings then run their Lloyd iterations together, as one
-batch that gives each restart the labels a run of its own would (the same
+all embeddings then run their Lloyd iterations as one batch, which
+updates every restart's centers each iteration and stops once no label
+moves. Each restart gets the labels a run of its own would (the same
 per-embedding products and row-order sums), and per embedding the restart
 of least cost wins (the earlier on a tie).
 Points with zero degree (all-zero weight rows) get a zero embedding row;
@@ -22,7 +24,6 @@ from __future__ import annotations
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg import blas
 
 from . import seeding
 from .geometry import Partition, as_data_matrix, fit_affine_ols, subspace_sq_distances
@@ -87,62 +88,45 @@ def _lloyd(
 
     ``rows`` is (groups, n, dim) and ``centers`` (groups, restarts, k, dim).
     Returns the (groups, restarts, n) labels and the WCSS of each restart's
-    labels, (groups, restarts). A restart whose labels repeat stops
-    updating; the others go on, each for at most ``max_iter`` iterations.
-    A group leaves the batch once none of its restarts moves; the others
-    keep their per-group product shapes, so their labels do not change.
+    labels, (groups, restarts). Every restart updates its centers each
+    iteration, and the batch stops once no label moves or after
+    ``max_iter`` iterations. A restart whose labels repeat recomputes the
+    same centers (the same row-order sums; a repaired cluster holds just the
+    row it took), so it keeps the labels it would stop at alone.
     """
     n_groups, n, dim = rows.shape
     n_restarts, k = centers.shape[1:3]
+    runs = n_groups * n_restarts
+    # restart r of group g owns the clusters (g * restarts + r) * k .. + k - 1
+    bins = k * np.arange(runs).reshape(n_groups, 1, n_restarts)
+    columns = np.repeat(rows, n_restarts, axis=1).reshape(-1, dim).T.copy()  # (dim, groups * n * restarts)
     labels = np.full((n_groups, n, n_restarts), -1)
-    active = np.arange(n_groups)  # groups with a restart whose labels still move
-    batch_rows, batch_norms, batch_centers, batch_labels = rows, row_norms, centers, labels
-    columns = None
     for _ in range(max_iter):
-        if columns is None:
-            runs = active.size * n_restarts
-            # restart r of batch group g owns the clusters (g * restarts + r) * k .. + k - 1
-            bins = k * np.arange(runs).reshape(active.size, 1, n_restarts)
-            # (dim, batch groups * n * restarts)
-            columns = np.repeat(batch_rows, n_restarts, axis=1).reshape(-1, dim).T.copy()
-        d2 = _sq_distances(batch_rows, batch_norms, batch_centers.reshape(active.size, n_restarts * k, dim))
-        d2 = d2.reshape(active.size, n, n_restarts, k)
+        d2 = _sq_distances(rows, row_norms, centers.reshape(n_groups, n_restarts * k, dim))
+        d2 = d2.reshape(n_groups, n, n_restarts, k)
         new = d2.argmin(axis=3)  # ties go to the lowest center index
-        binned = new + bins
-        counts = np.bincount(binned.ravel(), minlength=runs * k).reshape(active.size, n_restarts, k)
+        counts = np.bincount((new + bins).ravel(), minlength=runs * k).reshape(n_groups, n_restarts, k)
         if not counts.all():
             for g, r in np.argwhere((counts == 0).any(axis=2)):
                 assigned = d2[g, np.arange(n), r, new[g, :, r]]
                 for empty in np.flatnonzero(counts[g, r] == 0):
                     j = int(assigned.argmax())
-                    batch_centers[g, r, empty] = batch_rows[g, j]
+                    centers[g, r, empty] = rows[g, j]
                     new[g, j, r] = empty
                     assigned[j] = -1.0
                 counts[g, r] = np.bincount(new[g, :, r], minlength=k)
-            binned = new + bins
-        moving = (new != batch_labels).any(axis=1)  # (batch groups, restarts)
-        if moving.any():
-            np.copyto(batch_labels, new, where=moving[:, None, :])
-            # bincount adds in row order, as np.add.at does, so each sum has the
-            # bits of a sequential per-restart accumulation
-            binned = binned.ravel()
-            sums = [np.bincount(binned, weights=col, minlength=runs * k) for col in columns]
-            sums = np.stack(sums, axis=1).reshape(active.size, n_restarts, k, dim)
-            batch_centers[moving] = sums[moving] / counts[moving][:, :, None]
-        moved = moving.any(axis=1)
-        if not moved.all():
-            labels[active], centers[active] = batch_labels, batch_centers
-            active = active[moved]
-            batch_rows, batch_norms = batch_rows[moved], batch_norms[moved]
-            batch_centers, batch_labels = batch_centers[moved], batch_labels[moved]
-            columns = None
-            if active.size == 0:
-                break
-    labels[active], centers[active] = batch_labels, batch_centers
+        if np.array_equal(new, labels):
+            break
+        labels = new
+        # bincount adds in row order, as np.add.at does, so each sum has the
+        # bits of a sequential per-restart accumulation
+        binned = (labels + bins).ravel()
+        sums = [np.bincount(binned, weights=col, minlength=runs * k) for col in columns]
+        np.divide(np.stack(sums, axis=1).reshape(centers.shape), counts[..., None], out=centers)
+    del d2  # the batch's largest array: the costs below do not need it
     labels = labels.transpose(0, 2, 1)
     # centers are the means of the final labels
-    bins = k * np.arange(n_groups * n_restarts).reshape(n_groups, n_restarts, 1)
-    offsets = centers.reshape(-1, dim)[labels + bins]
+    offsets = centers.reshape(-1, dim)[labels + bins.transpose(0, 2, 1)]
     np.subtract(rows[:, None], offsets, out=offsets)
     costs = [[np.einsum("ij,ij->", off, off) for off in group] for group in offsets]
     return labels, np.array(costs)
@@ -155,11 +139,12 @@ def kmeans(rows, n_clusters: int, seeds) -> list[Partition]:
     group, each what a call on its group alone gives. One generator per
     group draws the D^2-weighted (k-means++) start of every restart in turn:
     a row index, then n_clusters - 1 uniforms. All restarts of all groups
-    then run their Lloyd iterations together, each until its labels repeat,
-    and each ends with the labels it would reach alone (the sequential loop
-    in ``tests/oracles.py`` is the reference). Per group, the labeling of
-    smallest within-cluster sum of squares is kept, and on a tie the earlier
-    restart wins. Deterministic for fixed inputs.
+    then run their Lloyd iterations together until no label moves (at most
+    ``KMEANS_MAX_ITER``), and each ends with the labels it would reach
+    alone (the sequential loop in ``tests/oracles.py`` is the reference).
+    Per group, the labeling of smallest within-cluster sum of squares is
+    kept, and on a tie the earlier restart wins. Deterministic for fixed
+    inputs.
     """
     stack = np.asarray(rows, dtype=np.float64)
     seeds = list(seeds)
@@ -177,14 +162,8 @@ def kmeans(rows, n_clusters: int, seeds) -> list[Partition]:
     rngs = [seeding.generator(s, 101) for s in seeds]
     centers = _plus_plus_init(stack, row_norms, n_clusters, rngs)
     labels, costs = _lloyd(stack, row_norms, centers, KMEANS_MAX_ITER)
-    partitions = []
-    for group_labels, group_costs in zip(labels, costs):
-        best, best_cost = None, np.inf
-        for r, cost in enumerate(group_costs):
-            if cost < best_cost:  # strict, so a tie keeps the earlier restart
-                best, best_cost = r, cost
-        partitions.append(Partition(group_labels[best], n_clusters))
-    return partitions
+    # argmin takes the first minimum, so a tie keeps the earlier restart
+    return [Partition(group_labels[best], n_clusters) for group_labels, best in zip(labels, costs.argmin(axis=1))]
 
 
 def _check_weights(weights) -> np.ndarray:
@@ -282,20 +261,19 @@ def _factored_embedding(A: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.
     affinities embed without NaN and reproducibly.
     """
     n, c = A.shape
-    # The products use scipy's BLAS, the library of the eigensolver: numpy
-    # links a second OpenBLAS, and under default threading the two thread
-    # pools contend for the same cores.
-    zero_degree, inv_sqrt = _inverse_sqrt_degree(blas.dgemv(1.0, A.T, A.sum(axis=0), trans=1))
+    zero_degree, inv_sqrt = _inverse_sqrt_degree(A @ A.sum(axis=0))
     B = A * inv_sqrt[:, None]
-    small_side = blas.dsyrk(1.0, B.T, trans=1 if n <= c else 0, lower=1)
+    small_side = B.T @ B if n > c else B @ B.T
     m = small_side.shape[0]
     top = min(n_clusters, m)
+    # small_side is exactly symmetric, so its transpose is the same matrix in
+    # the Fortran order LAPACK works in: eigh then skips a transposing copy
     vals, vecs = scipy.linalg.eigh(
-        small_side, subset_by_index=(m - top, m - 1), overwrite_a=True, check_finite=False
+        small_side.T, subset_by_index=(m - top, m - 1), overwrite_a=True, check_finite=False
     )
     spanned = vals > m * np.finfo(np.float64).eps * max(float(vals[-1]), 0.0)
     if n > c:
-        vecs = blas.dgemm(1.0, B.T, vecs[:, spanned], trans_a=1) / np.sqrt(vals[spanned])
+        vecs = B @ vecs[:, spanned] / np.sqrt(vals[spanned])
     else:
         vecs = vecs[:, spanned]
     embedding = np.zeros((n, n_clusters))

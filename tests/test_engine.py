@@ -362,6 +362,17 @@ def test_scc_run_input_validation():
         scc_run(rng.standard_normal((3, 5)), SccConfig(subspace_dim=1, n_clusters=9))
 
 
+def test_scc_run_rejects_a_subspace_dim_above_the_working_dimension_before_sampling(monkeypatch):
+    def no_curvature(*args, **kwargs):
+        raise AssertionError("curvature_matrix ran before the dimension check")
+
+    monkeypatch.setattr("scc.engine.curvature_matrix", no_curvature)
+    data = np.random.default_rng(2).standard_normal((10, 40))
+    for d, k, work_dim in ((5, 1, 4), (9, 2, 8)):
+        with pytest.raises(ValueError, match=f"subspace_dim {d} exceeds the working dimension {work_dim}"):
+            scc_run(data, SccConfig(subspace_dim=d, n_clusters=k, projection="4K"))
+
+
 def _blas_counts():
     return [get() for get, _ in _blas_thread_controls()]
 

@@ -204,6 +204,30 @@ def test_lloyd_cost_is_the_wcss_of_its_labels():
             assert cost == pytest.approx(labeling_cost(rows, restart_labels, k), rel=1e-12)
 
 
+def test_lloyd_stops_once_no_label_moves(monkeypatch):
+    calls = []
+    distances = scc.spectral._sq_distances
+
+    def counting(*args):
+        calls.append(args)
+        return distances(*args)
+
+    monkeypatch.setattr(scc.spectral, "_sq_distances", counting)
+    rng = np.random.default_rng(4)
+    means = np.array([[5.0, 0.0], [0.0, 5.0], [-5.0, -5.0]])
+    stack = np.stack([means[np.arange(30) % 3] + 0.1 * rng.standard_normal((30, 2)) for _ in range(2)])
+    # row i lies in blob i % 3, so every restart starts from one row of each
+    # blob, in its own order: the first iteration labels the blobs, the
+    # second repeats the labels
+    starts = [[0, 1, 2], [2, 1, 0], [1, 2, 0]]
+    centers = np.stack([group[starts] for group in stack])
+    labels, _ = _lloyd(stack, np.einsum("gij,gij->gi", stack, stack), centers, scc.spectral.KMEANS_MAX_ITER)
+    assert len(calls) == 2 < scc.spectral.KMEANS_MAX_ITER
+    for group_labels in labels:
+        for restart_labels, start in zip(group_labels, starts):
+            assert restart_labels.tolist() == [start.index(i % 3) for i in range(30)]
+
+
 def _assert_matches_sequential(rows, k, seed):
     got = kmeans(rows[None], k, [seed])[0].labels
     want = kmeans_sequential(rows, k, seed)
