@@ -4,15 +4,17 @@
 Writes the seeded inputs of the `motion`, `large_n` and `protocol`
 workloads of ``perfbench/workloads.py`` to a temporary directory, runs each
 case once at one OpenBLAS thread, as the benchmark does, and prints one
-line per case: its name, the SHA-256 of its int64 labels and its
-misclassification in percent. A `protocol` case is one `scc bench` cell:
-a sequence under one of the workload's regimes, run for each of its
-repeats with the trial seeds `scc bench --seed` gives; its digest covers
-the labels of every repeat, and its error is their mean, as records.csv
-holds it. The mean misclassification of each regime (workload, d and
-projection) and of all cases follows. Two commits give the same partitions
-on a seed exactly when their case lines are equal, and a diff of the two
-outputs also shows what a changed partition did to the accuracy:
+line per case: its name, the SHA-256 of its int64 labels, its
+misclassification in percent and the number of iterations the run made.
+A `protocol` case is one `scc bench` cell: a sequence under one of the
+workload's regimes, run for each of its repeats with the trial seeds
+`scc bench --seed` gives; its digest covers the labels of every repeat,
+its error is their mean, as records.csv holds it, and its iteration counts
+are listed per repeat, comma-separated. The mean misclassification of each
+regime (workload, d and projection) and of all cases follows. Two commits
+give the same labels on a seed exactly when their digests are equal,
+and a diff of the two outputs also shows what a changed partition did to
+the accuracy and which runs a change of stopping rule shortened:
 
     python scripts/partition_digest.py --seed 1 > after.txt
     diff before.txt after.txt
@@ -70,21 +72,22 @@ def main() -> int:
             inputs = Path(tmp) / workload
             make_inputs(workload, args.seed, inputs)
             for case in load_cases(workload, args.seed, inputs):
-                partition = scc_run(case.data, case.config).partition
-                digest = hashlib.sha256(partition.labels.astype(np.int64).tobytes()).hexdigest()
-                error = misclassification_rate(partition, case.truth)
+                result = scc_run(case.data, case.config)
+                digest = hashlib.sha256(result.partition.labels.astype(np.int64).tobytes()).hexdigest()
+                error = misclassification_rate(result.partition, case.truth)
                 regime = f"{workload} SCC({case.config.subspace_dim},{case.config.projection})"
                 errors.setdefault(regime, []).append(error)
-                print(f"{case.name} {digest} {error:.4f}", flush=True)
+                print(f"{case.name} {digest} {error:.4f} {result.iterations_run}", flush=True)
         inputs = Path(tmp) / "protocol"
         make_inputs("protocol", args.seed, inputs)
         for name, regime, record, configs in protocol_cases(args.seed, inputs):
-            partitions = [scc_run(record.trajectories, config).partition for config in configs]
-            labels = np.concatenate([partition.labels.astype(np.int64) for partition in partitions])
+            results = [scc_run(record.trajectories, config) for config in configs]
+            labels = np.concatenate([r.partition.labels.astype(np.int64) for r in results])
             digest = hashlib.sha256(labels.tobytes()).hexdigest()
-            error = statistics.fmean(misclassification_rate(p, record.truth_labels) for p in partitions)
+            error = statistics.fmean(misclassification_rate(r.partition, record.truth_labels) for r in results)
             errors.setdefault(regime, []).append(error)
-            print(f"{name} {digest} {error:.4f}", flush=True)
+            iterations = ",".join(str(r.iterations_run) for r in results)
+            print(f"{name} {digest} {error:.4f} {iterations}", flush=True)
     for regime, values in errors.items():
         print(f"mean {regime}: {statistics.fmean(values):.4f}% over {len(values)} cases")
     every = [value for values in errors.values() for value in values]

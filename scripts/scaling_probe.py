@@ -6,10 +6,12 @@ Runs the timing loop of the acceptance gate
 and interleaving) ``--rounds`` times and prints each round's median ratios,
 which the gate bounds to [1.5, 3], then the median and the minimum of each
 ratio over the rounds. Beside them it prints each case's median run
-seconds and median ``curvature_matrix`` seconds per run, timed by wrapping
-the engine's kernel call, so a change to the kernel shows how much of the
-gate's margin it moves. Near-linear scaling in both N and c shows up as
-ratios close to 2.
+seconds, median ``curvature_matrix`` seconds per run, timed by wrapping
+the engine's kernel call, and iterations per run (one kernel call each),
+so a change to the kernel shows how much of the gate's margin it moves.
+Near-linear scaling in both N and c shows up as ratios close to 2; if the
+cases stop after different numbers of iterations, the ratios measure
+convergence as well as cost.
 
     python scripts/scaling_probe.py --base-n 200 --base-c 200 --runs 5 --rounds 10
 """
@@ -41,17 +43,21 @@ def _timed_kernel(kernel):
     return timed
 
 
-def _kernel_medians() -> dict[tuple[int, int], float]:
-    """Median kernel seconds per run of each (N, c) case, warm-up run excluded.
+def _kernel_medians() -> dict[tuple[int, int], tuple[float, float]]:
+    """Median kernel seconds and iterations per run of each (N, c) case, warm-up run excluded.
 
     The gate interleaves its three cases, so each run of a case is one
-    unbroken streak of calls with that case's (N, c).
+    unbroken streak of calls with that case's (N, c), one call per iteration.
     """
-    per_run: dict[tuple[int, int], list[float]] = {}
+    per_run: dict[tuple[int, int], list[tuple[float, int]]] = {}
     for case, calls in itertools.groupby(_KERNEL_CALLS, key=lambda call: call[:2]):
-        per_run.setdefault(case, []).append(sum(call[2] for call in calls))
+        seconds = [call[2] for call in calls]
+        per_run.setdefault(case, []).append((sum(seconds), len(seconds)))
     _KERNEL_CALLS.clear()
-    return {case: statistics.median(runs[1:]) for case, runs in per_run.items()}
+    return {
+        case: tuple(statistics.median(column) for column in zip(*runs[1:]))
+        for case, runs in per_run.items()
+    }
 
 
 def main() -> int:
@@ -76,11 +82,14 @@ def main() -> int:
         kernel = _kernel_medians()
         ratios["N"].append(medians["N2"] / medians["base"])
         ratios["c"].append(medians["c2"] / medians["base"])
-        split = ", ".join(f"{name} {medians[name]:.3f}/{kernel[case]:.3f}" for name, case in cases.items())
+        split = ", ".join(
+            f"{name} {medians[name]:.3f}/{kernel[case][0]:.3f}/{kernel[case][1]:g}"
+            for name, case in cases.items()
+        )
         print(
             f"round {round_no}: N={args.base_n}, c={args.base_c}: median {medians['base']:.3f} s "
             f"over {args.runs} runs; doubling N -> x{ratios['N'][-1]:.2f}, "
-            f"doubling c -> x{ratios['c'][-1]:.2f}; run/curvature s: {split}",
+            f"doubling c -> x{ratios['c'][-1]:.2f}; run s/curvature s/iterations: {split}",
             flush=True,
         )
     for name, values in ratios.items():

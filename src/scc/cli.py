@@ -125,6 +125,8 @@ def cmd_cluster(args) -> int:
         "sigma_sq": result.sigma_sq_chosen,
         "q": result.q_chosen,
         "iterations": result.iterations_run,
+        "stop_reason": result.stop_reason,
+        "per_iteration_errors": result.per_iteration_errors,
         "runtime_sec": elapsed,
     }
     diag_path.write_text(json.dumps(diag, sort_keys=True) + "\n", encoding="utf-8")

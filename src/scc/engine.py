@@ -5,7 +5,14 @@ random (d+1)-subsets, score every (point, subset) tuple by squared polar
 curvature, sweep d+1 candidate bandwidths taken from order statistics of the
 curvatures, spectrally cluster each candidate's affinity, keep the partition
 of smallest total OLS error, then redraw the subsets from within the current
-clusters and repeat until the best error stops improving.
+clusters and repeat until one of the stopping conditions below holds.
+
+A run stops at the first of three conditions: an iteration that does not
+improve the best error returns the best partition again, up to relabeling
+("repeat"); ``patience`` consecutive iterations fail to improve it
+("patience"); or the iteration limit is reached ("limit"). Each iteration's
+seeds are keyed by (seed, iteration), so a run that stops early is a prefix
+of the run it would have made without the first condition.
 
 A sweep runs in two passes: each candidate's affinity and embedding, one
 candidate at a time, then one k-means call over all the embeddings, each
@@ -79,7 +86,9 @@ class SccConfig:
     ``n_sample_sets`` defaults to 100 per cluster and ``max_iterations`` to
     max(10, 2 * (subspace_dim + 1)). The run stops early once the best OLS
     error has failed to improve by a relative 1e-6 for ``patience``
-    consecutive iterations.
+    consecutive iterations, or as soon as an iteration that fails to improve
+    it returns the best partition again, up to relabeling: from the same
+    clusters the next draw would search the same neighbourhood.
     """
 
     subspace_dim: int
@@ -130,6 +139,9 @@ class SccResult:
     All error values refer to the working space of the run, i.e. the data
     after the configured projection (``working_dim`` rows).
     ``per_iteration_errors`` holds one entry per iteration run.
+    ``stop_reason`` says which condition ended the run: "repeat", "patience"
+    or "limit" (see ``SccConfig``); when several hold at the same iteration,
+    the first of that list is given.
     """
 
     partition: Partition
@@ -137,6 +149,7 @@ class SccResult:
     q_chosen: int
     per_iteration_errors: list[float] = field(repr=False)
     working_dim: int = 0
+    stop_reason: str = "limit"
 
     @property
     def ols_error(self) -> float:
@@ -235,6 +248,18 @@ def resample_within(
     pools = [partition.members(j) for j in range(k)]
     pools = [pool if pool.size >= size else np.arange(n) for pool in pools]
     return _draw_sets(pools, quotas, size, rng)
+
+
+def _first_occurrence_labels(labels: np.ndarray) -> np.ndarray:
+    """The labels renumbered 0, 1, ... in order of first occurrence.
+
+    Two labelings give the same result exactly when they group the points
+    alike, whatever numbers they give the groups.
+    """
+    _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
+    rank = np.empty_like(first)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[inverse]
 
 
 def _positive_floor(curv: np.ndarray) -> float:
@@ -350,19 +375,29 @@ def scc_run(data, config: SccConfig) -> SccResult:
         sets = sample_initial(n, d, c, seeding.generator(config.seed, _STREAM_INITIAL, 0))
 
         best: tuple[Partition, float, int, float] | None = None
+        best_labels = None  # best's labels in first-occurrence order
         per_iteration: list[float] = []
         stalled = 0
+        stop_reason = "limit"
         for iteration in range(1, config.iteration_limit + 1):
             partition, sigma_sq, q, error = sweep_and_cluster(work, sets, config, iteration)
             per_iteration.append(error)
+            labels = _first_occurrence_labels(partition.labels)
             if best is None:
-                best, improved = (partition, sigma_sq, q, error), True
+                improved, repeated = True, False
             else:
                 improved = error < best[3] * (1.0 - _IMPROVEMENT_TOL) and best[3] > 0.0
-                if error < best[3]:
-                    best = (partition, sigma_sq, q, error)
+                # against best before it is replaced: an error lower only within
+                # the tolerance still returns the partition already found
+                repeated = not improved and np.array_equal(labels, best_labels)
+            if best is None or error < best[3]:
+                best, best_labels = (partition, sigma_sq, q, error), labels
             stalled = 0 if improved else stalled + 1
+            if repeated:
+                stop_reason = "repeat"
+                break
             if stalled >= config.patience:
+                stop_reason = "patience"
                 break
             if iteration < config.iteration_limit:
                 sets = resample_within(
@@ -376,4 +411,5 @@ def scc_run(data, config: SccConfig) -> SccResult:
             q_chosen=q,
             per_iteration_errors=per_iteration,
             working_dim=work.shape[0],
+            stop_reason=stop_reason,
         )

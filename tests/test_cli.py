@@ -75,6 +75,23 @@ def test_cluster_writes_labels_and_diagnostics(tmp_path):
     assert "runtime_sec" in diag
 
 
+def test_cluster_diagnostics_say_why_the_run_stopped(tmp_path):
+    seq = _synth(tmp_path, "s.seq", mode="motion", K=2, N=30, F=10, noise=0.0, seed=6)
+    reasons = {}
+    for max_iterations in ("1", "10"):
+        labels_path = tmp_path / f"s{max_iterations}.txt"
+        assert main(
+            ["cluster", "--in", str(seq), "--d", "3", "--K", "2", "--proj", "4K", "--seed", "1",
+             "--max-iterations", max_iterations, "--out", str(labels_path)]
+        ) == 0
+        diag = json.loads((tmp_path / f"s{max_iterations}.txt.jsonl").read_text())
+        assert len(diag["per_iteration_errors"]) == diag["iterations"]
+        assert min(diag["per_iteration_errors"]) == diag["ols_error"]
+        reasons[max_iterations] = (diag["stop_reason"], diag["iterations"])
+    # a noiseless run finds its partition at once and stops when the next iteration returns it
+    assert reasons == {"1": ("limit", 1), "10": ("repeat", 2)}
+
+
 def test_cluster_projection_flag_controls_working_dim(tmp_path):
     seq = _synth(tmp_path, "p.seq", mode="motion", K=2, N=30, F=10, noise=0.0, seed=6)
     labels_path = tmp_path / "p-labels.txt"

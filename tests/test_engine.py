@@ -14,6 +14,7 @@ from scc.dataio import SynthSpec, synth_subspace_mixture
 from scc.engine import (
     SccConfig,
     _blas_thread_controls,
+    _first_occurrence_labels,
     resample_within,
     sample_initial,
     scc_run,
@@ -371,6 +372,100 @@ def test_scc_run_rejects_a_subspace_dim_above_the_working_dimension_before_sampl
     for d, k, work_dim in ((5, 1, 4), (9, 2, 8)):
         with pytest.raises(ValueError, match=f"subspace_dim {d} exceeds the working dimension {work_dim}"):
             scc_run(data, SccConfig(subspace_dim=d, n_clusters=k, projection="4K"))
+
+
+def test_first_occurrence_labels_number_groups_in_order_of_appearance():
+    assert _first_occurrence_labels(np.array([2, 2, 0, 1, 0])).tolist() == [0, 0, 1, 2, 1]
+    assert _first_occurrence_labels(np.array([0, 1, 1])).tolist() == [0, 1, 1]
+    assert _first_occurrence_labels(np.array([3, 3, 3])).tolist() == [0, 0, 0]
+
+
+_P = [0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 1, 1]
+_P_RELABELED = [1 - v for v in _P]
+_Q = [0, 1] * 6
+_R = [0, 0, 0, 1, 1, 1] * 2
+
+
+def _scripted_run(monkeypatch, script, **config):
+    """scc_run with sweep_and_cluster returning (labels, error) pairs from ``script`` in turn.
+
+    Returns the result and the number of sweeps the run made.
+    """
+    calls = []
+
+    def sweep(data, sample_sets, config, iteration=0):
+        labels, error = script[len(calls)]
+        calls.append(iteration)
+        return Partition(np.array(labels), 2), 1.0, len(calls), error
+
+    monkeypatch.setattr("scc.engine.sweep_and_cluster", sweep)
+    data = np.random.default_rng(0).standard_normal((3, len(_P)))
+    result = scc_run(data, SccConfig(subspace_dim=1, n_clusters=2, **config))
+    return result, len(calls)
+
+
+def test_scc_run_stops_when_a_relabeled_best_partition_returns(monkeypatch):
+    script = [(_P, 1.0), (_P_RELABELED, 1.0)] + [(_Q, 2.0)] * 8
+    result, sweeps = _scripted_run(monkeypatch, script)
+    assert sweeps == 2
+    assert result.stop_reason == "repeat"
+    assert result.per_iteration_errors == [1.0, 1.0]
+    assert result.partition.labels.tolist() == _P and result.q_chosen == 1
+
+
+def test_scc_run_waits_out_patience_on_a_different_partition_of_equal_error(monkeypatch):
+    script = [(_P, 1.0)] + [(_Q, 1.0)] * 9
+    result, sweeps = _scripted_run(monkeypatch, script)
+    assert sweeps == 4
+    assert result.stop_reason == "patience"
+    assert result.partition.labels.tolist() == _P
+
+
+def test_scc_run_compares_with_the_best_partition_before_replacing_it(monkeypatch):
+    lower = 1.0 - 1e-9  # lower, but within the 1e-6 tolerance: not an improvement
+    # the best partition again at a slightly lower error is a repeat ...
+    result, sweeps = _scripted_run(monkeypatch, [(_P, 1.0), (_P_RELABELED, lower)] + [(_Q, 2.0)] * 8)
+    assert (sweeps, result.stop_reason) == (2, "repeat")
+    assert result.ols_error == lower and result.q_chosen == 2
+    # ... while another partition at that error is not, though it becomes the best
+    result, sweeps = _scripted_run(monkeypatch, [(_P, 1.0), (_Q, lower)] + [(_R, 2.0)] * 8)
+    assert (sweeps, result.stop_reason) == (4, "patience")
+    assert result.partition.labels.tolist() == _Q and result.ols_error == lower
+
+
+def test_scc_run_at_zero_error_stops_at_its_first_repeat(monkeypatch):
+    script = [(_P, 0.0), (_Q, 0.0), (_P_RELABELED, 0.0)] + [(_Q, 0.0)] * 7
+    result, sweeps = _scripted_run(monkeypatch, script)
+    assert (sweeps, result.stop_reason) == (3, "repeat")
+    assert result.partition.labels.tolist() == _P
+
+
+def test_scc_run_reports_the_iteration_limit(monkeypatch):
+    script = [(_P, 3.0), (_Q, 2.0), (_P, 1.0)]
+    result, sweeps = _scripted_run(monkeypatch, script, max_iterations=3)
+    assert (sweeps, result.stop_reason) == (3, "limit")
+
+
+def test_scc_run_that_stops_on_a_repeat_is_a_prefix_of_the_run_without_the_rule(monkeypatch):
+    spec = SynthSpec(n_clusters=3, points_per_cluster=25, subspace_dim=2, ambient_dim=8, seed=7, noise_sigma=0.05)
+    data, _ = synth_subspace_mixture(spec)
+    stopped = []
+    for seed in range(4):
+        config = SccConfig(subspace_dim=2, n_clusters=3, seed=seed)
+        with_rule = scc_run(data, config)
+        with monkeypatch.context() as patch:
+            # distinct on every call, so no iteration counts as a repeat
+            fresh = itertools.count()
+            patch.setattr("scc.engine._first_occurrence_labels", lambda labels: np.array([next(fresh)]))
+            without = scc_run(data, config)
+        assert without.stop_reason != "repeat"
+        run = with_rule.iterations_run
+        assert with_rule.per_iteration_errors == without.per_iteration_errors[:run]
+        # on these inputs no later iteration beats the best, so both runs return it
+        assert min(without.per_iteration_errors) == with_rule.ols_error
+        assert np.array_equal(with_rule.partition.labels, without.partition.labels)
+        stopped.append(with_rule.stop_reason)
+    assert "repeat" in stopped
 
 
 def _blas_counts():
