@@ -150,8 +150,6 @@ def cmd_synth(args) -> int:
         noise_sigma=args.noise,
         seed=args.seed,
         n_frames=args.F,
-        rigid_motion_magnitude=args.motion_magnitude,
-        unit_diameter=args.unit_diameter,
     )
     if args.mode == "motion":
         record = synth_affine_motion(spec)
@@ -408,8 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     synth.add_argument("--D", type=int, default=10, help="ambient dimension (mixture mode)")
     synth.add_argument("--F", type=int, default=30, help="frames (motion mode)")
     synth.add_argument("--noise", type=float, default=0.0, help="noise level relative to diameter")
-    synth.add_argument("--motion-magnitude", type=float, default=0.1)
-    synth.add_argument("--unit-diameter", action="store_true")
     synth.add_argument("--seed", type=int, default=DEFAULT_SEED)
     synth.add_argument("--out", default=None, help="output .seq path")
     synth.set_defaults(func=cmd_synth)

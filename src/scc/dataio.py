@@ -43,6 +43,9 @@ _STREAM_MOTION = 11
 
 # per-frame rotation steps are bounded by this angle (radians)
 _MAX_ROTATION_STEP = 0.2
+# length of each body's per-frame translation step, and the standard
+# deviation of each per-frame camera offset step
+_MOTION_STEP = 0.1
 
 
 class SequenceParseError(ValueError):
@@ -206,11 +209,10 @@ def save_sequence(path, record: SequenceRecord) -> None:
 class SynthSpec:
     """Parameters for the synthetic generators.
 
-    ``noise_sigma`` is relative to the diameter of the clean data (so it is
-    the absolute noise level after unit-diameter normalization).
+    ``noise_sigma`` is relative to the diameter of the clean data.
     ``subspace_dim``/``ambient_dim`` drive the mixture generator;
-    ``n_frames``/``rigid_motion_magnitude`` drive the motion generator,
-    which always builds 3-D rigid bodies.
+    ``n_frames`` drives the motion generator, which always builds 3-D rigid
+    bodies moved by translation steps of length 0.1.
     """
 
     n_clusters: int
@@ -220,8 +222,6 @@ class SynthSpec:
     noise_sigma: float = 0.0
     seed: int = 0
     n_frames: int = 30
-    rigid_motion_magnitude: float = 0.1
-    unit_diameter: bool = False
 
     def __post_init__(self):
         if self.n_clusters < 1:
@@ -234,8 +234,6 @@ class SynthSpec:
             raise ValueError("noise_sigma must be finite and nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
-        if not 0.0 <= self.rigid_motion_magnitude < math.inf:
-            raise ValueError("rigid_motion_magnitude must be finite and nonnegative")
 
 
 def _diameter(X: np.ndarray) -> float:
@@ -247,10 +245,6 @@ def _diameter(X: np.ndarray) -> float:
 def _finalize(X: np.ndarray, spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:
     if spec.noise_sigma > 0.0:
         X = X + rng.normal(0.0, spec.noise_sigma * _diameter(X), size=X.shape)
-    if spec.unit_diameter:
-        diam = _diameter(X)
-        if diam > 0.0:
-            X = X / diam
     return X
 
 
@@ -303,7 +297,7 @@ def synth_affine_motion(spec: SynthSpec) -> SequenceRecord:
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     camera = q[:2]
     camera_offsets = np.cumsum(
-        rng.normal(0.0, spec.rigid_motion_magnitude, size=(frames, 2)), axis=0
+        rng.normal(0.0, _MOTION_STEP, size=(frames, 2)), axis=0
     )
 
     blocks = []
@@ -319,7 +313,7 @@ def synth_affine_motion(spec: SynthSpec) -> SequenceRecord:
                 angle = rng.uniform(0.0, _MAX_ROTATION_STEP)
                 rotation = _rotation_matrix(axis, angle) @ rotation
                 step = rng.standard_normal(3)
-                step *= spec.rigid_motion_magnitude / np.linalg.norm(step)
+                step *= _MOTION_STEP / np.linalg.norm(step)
                 translation = translation + step
             world = rotation @ cloud + translation[:, None]
             image = camera @ world + camera_offsets[i][:, None]

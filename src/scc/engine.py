@@ -9,8 +9,8 @@ clusters and repeat until one of the stopping conditions below holds.
 
 A run stops at the first of three conditions: an iteration that does not
 improve the best error returns the best partition again, up to relabeling
-("repeat"); ``patience`` consecutive iterations fail to improve it
-("patience"); or the iteration limit is reached ("limit"). Each iteration's
+("repeat"); three consecutive iterations fail to improve it ("patience");
+or the iteration limit is reached ("limit"). Each iteration's
 seeds are keyed by (seed, iteration), so a run that stops early is a prefix
 of the run it would have made without the first condition.
 
@@ -61,6 +61,8 @@ _STREAM_SPECTRAL = 2
 
 # relative drop in the best OLS error that counts as an improvement
 _IMPROVEMENT_TOL = 1e-6
+# consecutive iterations without an improvement that end a run
+_PATIENCE = 3
 
 _OPENBLAS_THREAD_SYMBOLS = [
     (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
@@ -85,17 +87,17 @@ class SccConfig:
 
     ``n_sample_sets`` defaults to 100 per cluster and ``max_iterations`` to
     max(10, 2 * (subspace_dim + 1)). The run stops early once the best OLS
-    error has failed to improve by a relative 1e-6 for ``patience``
-    consecutive iterations, or as soon as an iteration that fails to improve
-    it returns the best partition again, up to relabeling: from the same
-    clusters the next draw would search the same neighbourhood.
+    error has failed to improve by a relative 1e-6 for 3 consecutive
+    iterations, or as soon as an iteration that fails to improve it returns
+    the best partition again, up to relabeling: from the same clusters the
+    next draw would search the same neighbourhood. The tolerance and the
+    count of 3 are fixed.
     """
 
     subspace_dim: int
     n_clusters: int
     n_sample_sets: int | None = None
     max_iterations: int | None = None
-    patience: int = 3
     seed: int = 0
     projection: str = "ambient"
 
@@ -108,8 +110,6 @@ class SccConfig:
             raise ValueError("n_sample_sets must be at least n_clusters")
         if self.max_iterations is not None and self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.patience < 1:
-            raise ValueError("patience must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
         object.__setattr__(self, "projection", _normalize_projection(self.projection))
@@ -148,8 +148,8 @@ class SccResult:
     sigma_sq_chosen: float
     q_chosen: int
     per_iteration_errors: list[float] = field(repr=False)
-    working_dim: int = 0
-    stop_reason: str = "limit"
+    working_dim: int
+    stop_reason: str
 
     @property
     def ols_error(self) -> float:
@@ -396,7 +396,7 @@ def scc_run(data, config: SccConfig) -> SccResult:
             if repeated:
                 stop_reason = "repeat"
                 break
-            if stalled >= config.patience:
+            if stalled >= _PATIENCE:
                 stop_reason = "patience"
                 break
             if iteration < config.iteration_limit:

@@ -16,8 +16,10 @@ moves. Each restart gets the labels a run of its own would (the same
 per-embedding products and row-order sums), and per embedding the restart
 of least cost wins (the earlier on a tie).
 Points with zero degree (all-zero weight rows) get a zero embedding row;
-when the original data and the subspace dimension are supplied they are
-re-attached afterwards to the cluster whose fitted subspace is nearest.
+on the factored path, when the original data and the subspace dimension
+are supplied, they are re-attached afterwards to the cluster whose fitted
+subspace is nearest. The dense solver for an explicit weight matrix is the
+reference the factored path is tested against.
 """
 
 from __future__ import annotations
@@ -180,8 +182,8 @@ def _embeddings_to_labels(
     embeddings: list[tuple[np.ndarray, np.ndarray]],
     n_clusters: int,
     seeds,
-    data,
-    subspace_dim,
+    data=None,
+    subspace_dim: int | None = None,
 ) -> list[Partition]:
     """One partition per (embedding, zero-degree mask), from one stacked k-means call."""
     rows = np.empty((len(embeddings),) + embeddings[0][0].shape)
@@ -223,19 +225,10 @@ def _inverse_sqrt_degree(deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return zero_degree, inv_sqrt
 
 
-def spectral_cluster(
-    weights,
-    n_clusters: int,
-    seed: int,
-    *,
-    data=None,
-    subspace_dim: int | None = None,
-) -> Partition:
+def spectral_cluster(weights, n_clusters: int, seed: int) -> Partition:
     """Partition points from a symmetric nonnegative weight matrix.
 
-    ``data`` and ``subspace_dim`` are optional; when given, zero-degree
-    points are re-attached to the nearest fitted subspace instead of being
-    left wherever k-means put their zero embedding rows.
+    Zero-degree points stay wherever k-means puts their zero embedding rows.
     """
     W = _check_weights(weights)
     n = W.shape[0]
@@ -247,7 +240,7 @@ def spectral_cluster(
     zero_degree, inv_sqrt = _inverse_sqrt_degree(W.sum(axis=1))
     M = W * inv_sqrt[:, None] * inv_sqrt[None, :]
     _, vecs = scipy.linalg.eigh(M, subset_by_index=(n - n_clusters, n - 1))
-    return _embeddings_to_labels([(vecs, zero_degree)], n_clusters, [seed], data, subspace_dim)[0]
+    return _embeddings_to_labels([(vecs, zero_degree)], n_clusters, [seed])[0]
 
 
 def _factored_embedding(A: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
@@ -298,7 +291,10 @@ def spectral_cluster_factored(
     symmetric eigensolve of size min(N, c). The embeddings then go through
     one stacked k-means call, and the result holds one partition per
     affinity, each what a call on that affinity alone gives. This is the
-    engine's spectral path at every N.
+    engine's spectral path at every N. ``data`` and ``subspace_dim`` are
+    optional; when given, zero-degree points are re-attached to the nearest
+    fitted subspace instead of being left wherever k-means put their zero
+    embedding rows.
     """
     seeds = list(seeds)
     if n_clusters < 1:

@@ -190,22 +190,27 @@ def _scaling_case(n_total, n_sets):
     data, _ = synth_subspace_mixture(spec)
     config = SccConfig(
         subspace_dim=3, n_clusters=2, n_sample_sets=n_sets,
-        max_iterations=5, patience=10, seed=5,
+        max_iterations=5, seed=5,
     )
     return data, config
 
 
-def _scaling_medians(base_n=200, base_c=200, runs=5) -> dict:
-    """Median scc_run wall time of the base case ("base") and of its copies with
-    N ("N2") and c ("c2") doubled, over ``runs`` timed runs after one warm-up.
-
-    The cases are interleaved so machine-load drift inflates all of them alike.
-    """
-    cases = {
+def _scaling_cases(base_n=200, base_c=200) -> dict:
+    """The base case ("base") and its copies with N ("N2") and c ("c2") doubled."""
+    return {
         "base": _scaling_case(base_n, base_c),
         "N2": _scaling_case(2 * base_n, base_c),
         "c2": _scaling_case(base_n, 2 * base_c),
     }
+
+
+def _scaling_medians(base_n=200, base_c=200, runs=5) -> dict:
+    """Median scc_run wall time of each of ``_scaling_cases``, over ``runs``
+    timed runs after one warm-up.
+
+    The cases are interleaved so machine-load drift inflates all of them alike.
+    """
+    cases = _scaling_cases(base_n, base_c)
     for data, config in cases.values():  # warm-up
         scc_run(data, config)
     times = {name: [] for name in cases}
@@ -215,6 +220,14 @@ def _scaling_medians(base_n=200, base_c=200, runs=5) -> dict:
             scc_run(data, config)
             times[name].append(time.perf_counter() - start)
     return {name: float(np.median(vals)) for name, vals in times.items()}
+
+
+def test_scaling_cases_make_equal_iteration_counts():
+    # the timing ratios below measure cost only while every case runs as many
+    # iterations; otherwise they measure convergence too
+    iterations = {name: scc_run(data, config).iterations_run for name, (data, config) in _scaling_cases().items()}
+    ok = len(set(iterations.values())) == 1
+    _report("scaling cases converge alike", ok, f"iterations per run {iterations}")
 
 
 def test_complexity_scaling():

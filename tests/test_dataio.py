@@ -143,20 +143,12 @@ def test_mixture_single_cluster_labels():
     assert (truth.labels == 0).all()
 
 
-def test_mixture_noise_and_normalization():
+def test_mixture_noise():
     noisy = SynthSpec(n_clusters=2, points_per_cluster=20, subspace_dim=2, ambient_dim=6, seed=2, noise_sigma=0.1)
     clean = SynthSpec(n_clusters=2, points_per_cluster=20, subspace_dim=2, ambient_dim=6, seed=2)
     data_noisy, _ = synth_subspace_mixture(noisy)
     data_clean, _ = synth_subspace_mixture(clean)
     assert not np.allclose(data_noisy, data_clean)
-
-    unit = SynthSpec(
-        n_clusters=2, points_per_cluster=20, subspace_dim=2, ambient_dim=6, seed=2, unit_diameter=True
-    )
-    data_unit, _ = synth_subspace_mixture(unit)
-    norms = np.einsum("ij,ij->j", data_unit, data_unit)
-    diam = np.sqrt((norms[:, None] + norms[None, :] - 2 * data_unit.T @ data_unit).max())
-    assert diam == pytest.approx(1.0, abs=1e-9)
 
 
 def test_mixture_rejects_bad_dims():
@@ -237,5 +229,3 @@ def test_synth_spec_validation():
         SynthSpec(n_clusters=1, points_per_cluster=10, noise_sigma=-0.1)
     with pytest.raises(ValueError):
         SynthSpec(n_clusters=1, points_per_cluster=10, noise_sigma=float("nan"))
-    with pytest.raises(ValueError):
-        SynthSpec(n_clusters=1, points_per_cluster=10, rigid_motion_magnitude=float("nan"))

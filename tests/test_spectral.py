@@ -40,9 +40,11 @@ def test_block_diagonal_recovery_is_exact():
 def test_single_cluster():
     rng = np.random.default_rng(0)
     aff = rng.random((9, 4))
-    part = spectral_cluster(pairwise_weights(aff), 1, seed=3)
-    assert part.n_clusters == 1
-    assert (part.labels == 0).all()
+    dense = spectral_cluster(pairwise_weights(aff), 1, seed=3)
+    [factored] = spectral_cluster_factored([aff], 1, [3])
+    for part in (dense, factored):
+        assert part.n_clusters == 1
+        assert (part.labels == 0).all()
 
 
 def _parallel_lines(seed, n_per_line=20, gap=0.2, noise=0.02):
@@ -60,9 +62,9 @@ def test_two_parallel_lines_recovered_over_seeds():
     sets = sample_initial(data.shape[1], 1, 80, np.random.default_rng(7))
     curv, member = curvature_matrix(data, sets)
     sigma_sq = sigma_candidates(curv[~member], data.shape[1], 1, 80, 2)[1]
-    w = pairwise_weights(affinity_from_curvatures(curv, member, sigma_sq))
+    aff = affinity_from_curvatures(curv, member, sigma_sq)
     for seed in range(20):
-        part = spectral_cluster(w, 2, seed, data=data, subspace_dim=1)
+        [part] = spectral_cluster_factored([aff], 2, [seed], data=data, subspace_dim=1)
         assert misclassification_rate(part, truth) == 0.0
 
 
@@ -76,10 +78,14 @@ def test_spectral_rejects_bad_input():
 
 def test_spectral_deterministic():
     rng = np.random.default_rng(5)
-    w = pairwise_weights(rng.random((15, 6)))
+    aff = rng.random((15, 6))
+    w = pairwise_weights(aff)
     a = spectral_cluster(w, 3, seed=11)
     b = spectral_cluster(w, 3, seed=11)
     assert np.array_equal(a.labels, b.labels)
+    [c] = spectral_cluster_factored([aff], 3, [11])
+    [d] = spectral_cluster_factored([aff], 3, [11])
+    assert np.array_equal(c.labels, d.labels)
 
 
 def test_spectral_invariant_under_point_permutation():
@@ -94,13 +100,25 @@ def test_spectral_invariant_under_point_permutation():
     assert misclassification_rate(
         Partition(permuted.labels, 3), Partition(base.labels[perm], 3)
     ) == 0.0
+    # the factored path: block indicators plus a 0.1 column give the same
+    # blocks and background, with 1.01 on the diagonal
+    aff = np.hstack([np.eye(3)[labels], np.full((sum(sizes), 1), 0.1)])
+    [base] = spectral_cluster_factored([aff], 3, [2])
+    [permuted] = spectral_cluster_factored([aff[perm]], 3, [2])
+    assert misclassification_rate(
+        Partition(permuted.labels, 3), Partition(base.labels[perm], 3)
+    ) == 0.0
 
 
 def test_spectral_invariant_under_scaling():
     rng = np.random.default_rng(9)
-    w = pairwise_weights(rng.random((20, 8)))
+    aff = rng.random((20, 8))
+    w = pairwise_weights(aff)
     base = spectral_cluster(w, 2, seed=4)
     scaled = spectral_cluster(7.3 * w, 2, seed=4)
+    assert np.array_equal(base.labels, scaled.labels)
+    [base] = spectral_cluster_factored([aff], 2, [4])
+    [scaled] = spectral_cluster_factored([7.3 * aff], 2, [4])
     assert np.array_equal(base.labels, scaled.labels)
 
 
@@ -112,10 +130,12 @@ def test_zero_degree_points_attach_to_nearest_subspace():
     aff[10:, :3] = 0.0
     w = pairwise_weights(aff)
     assert (w.sum(axis=1)[8:10] == 0.0).all()
-    part = spectral_cluster(w, 2, seed=0, data=data, subspace_dim=1)
-    # points 8 and 9 have no affinity at all but sit on line one
-    assert part.labels[8] == part.labels[0]
-    assert part.labels[9] == part.labels[0]
+    # k-means alone puts their zero embedding rows with line two on seed 3
+    for seed in range(5):
+        [part] = spectral_cluster_factored([aff], 2, [seed], data=data, subspace_dim=1)
+        # points 8 and 9 have no affinity at all but sit on line one
+        assert part.labels[8] == part.labels[0]
+        assert part.labels[9] == part.labels[0]
 
 
 def test_factored_matches_dense():
