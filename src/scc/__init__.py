@@ -13,8 +13,8 @@ from .geometry import (
     project_pca,
     total_ols_error,
 )
-from .curvature import pairwise_weights, polar_curvature_sq, simplex_gram_det
-from .spectral import kmeans, spectral_cluster, spectral_cluster_factored
+from .curvature import polar_curvature_sq
+from .spectral import kmeans, spectral_cluster_factored
 from .engine import SccConfig, SccResult, resample_within, sample_initial, scc_run, sigma_candidates, sweep_and_cluster
 from .evaluation import EvalRecord, aggregate, error_histogram, misclassification_rate
 from .dataio import (
@@ -44,7 +44,6 @@ __all__ = [
     "kmeans",
     "load_sequence",
     "misclassification_rate",
-    "pairwise_weights",
     "polar_curvature_sq",
     "project_pca",
     "resample_within",
@@ -52,8 +51,6 @@ __all__ = [
     "save_sequence",
     "scc_run",
     "sigma_candidates",
-    "simplex_gram_det",
-    "spectral_cluster",
     "spectral_cluster_factored",
     "sweep_and_cluster",
     "synth_affine_motion",

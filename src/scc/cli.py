@@ -46,7 +46,6 @@ from .reference_results import reference_rows
 DEFAULT_SEED = 0
 DEFAULT_REPEATS = 100
 DEFAULT_REGIMES = ("3,d+1", "3,4K", "3,2F", "4,d+1", "4,4K", "4,2F")
-DEFAULT_BIN_EDGES = [0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 100.0]
 _RECORD_COLUMNS = ["method", "sequence", "category", "motions", "error_pct", "runs"]
 
 EXIT_INTERNAL = 1
@@ -352,10 +351,10 @@ def _emit_reports(out_dir: Path, records_path: Path, include_reference: bool) ->
             errors = [r.error_pct for r in by_method[method] if r.n_motions == motions]
             if not errors:
                 continue
-            counts, zero_share = error_histogram(errors, DEFAULT_BIN_EDGES)
+            counts, zero_share = error_histogram(errors)
             slug = method.replace(" ", "").replace("(", "").replace(")", "").replace(",", "-")
             hist_path = out_dir / f"hist_{slug}_{motions}motions.csv"
-            write_histogram_csv(hist_path, DEFAULT_BIN_EDGES, counts)
+            write_histogram_csv(hist_path, counts)
             emitted.append(hist_path.name)
             _log(f"{method}, {motions} motions: {zero_share:.1f}% of sequences at zero error")
     return emitted

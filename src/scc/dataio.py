@@ -236,10 +236,21 @@ class SynthSpec:
             raise ValueError("seed must be nonnegative")
 
 
+# entries (4 MB) of each row block of squared distances in ``_diameter``
+_DIAMETER_BLOCK_ENTRIES = 1 << 19
+
+
 def _diameter(X: np.ndarray) -> float:
+    """Largest distance between columns, as |x|^2 + |y|^2 - 2 x.y, one row block of the N x N at a time."""
+    n = X.shape[1]
     norms = np.einsum("ij,ij->j", X, X)
-    sq = norms[:, None] + norms[None, :] - 2.0 * X.T @ X
-    return float(np.sqrt(max(sq.max(), 0.0)))
+    rows = max(1, _DIAMETER_BLOCK_ENTRIES // n)
+    largest = 0.0
+    for start in range(0, n, rows):
+        block = X[:, start : start + rows]
+        sq = norms[start : start + rows, None] + norms[None, :] - 2.0 * block.T @ X
+        largest = max(largest, float(sq.max()))
+    return float(np.sqrt(largest))
 
 
 def _finalize(X: np.ndarray, spec: SynthSpec, rng: np.random.Generator) -> np.ndarray:

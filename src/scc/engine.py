@@ -194,26 +194,18 @@ def _draw_sets(pools, quotas, size: int, rng: np.random.Generator) -> np.ndarray
     return np.concatenate(blocks)
 
 
-def sigma_candidates(
-    sq_curvatures,
-    n_points: int,
-    subspace_dim: int,
-    n_sets: int,
-    n_clusters: int,
-) -> list[float]:
+def sigma_candidates(sq_curvatures, subspace_dim: int, n_clusters: int) -> list[float]:
     """The d+1 bandwidth candidates sigma^2, one per q = 1..d+1.
 
-    Candidate q is the order statistic of the curvature vector (its entry
-    in ascending order; the input need not be sorted) at 1-based position
-    round((N-d-1)*c / K^q) (round half up, clamped to the valid range); it
-    is used directly as sigma^2.
+    For a curvature vector of length L, candidate q is its entry at 1-based
+    position round(L / K^q) in ascending order (round half up, clamped to
+    the valid range; the input need not be sorted), used directly as
+    sigma^2. The sweep passes the (N-d-1)*c curvatures of the points
+    outside their sampled sets.
     """
     vec = np.asarray(sq_curvatures, dtype=np.float64)
     if vec.ndim != 1 or vec.size == 0:
         raise ValueError("curvature vector must be a nonempty 1-D array")
-    expected = (n_points - subspace_dim - 1) * n_sets
-    if vec.size != expected:
-        raise ValueError(f"curvature vector has length {vec.size}, expected {expected}")
     length = vec.size
     indices = [
         min(max(math.floor(length / n_clusters**q + 0.5), 1), length) - 1
@@ -278,12 +270,11 @@ def sweep_and_cluster(
     been applied).
     """
     X = as_data_matrix(data)
-    n = X.shape[1]
     d = config.subspace_dim
     k = config.n_clusters
 
     curv, member = curvature_matrix(X, sample_sets)
-    candidates = sigma_candidates(curv[~member], n, d, sample_sets.shape[0], k)
+    candidates = sigma_candidates(curv[~member], d, k)
     floor_sigma = _positive_floor(curv)  # member entries are zero, so never the floor
 
     # exact fits give zero curvatures and duplicated points +inf ones;

@@ -3,7 +3,7 @@ per-category aggregation, and error histograms.
 
 Report emission follows the benchmark convention: one CSV of
 (method, category, motions, mean_pct, median_pct) rows, a plain-text aligned
-table, and per-histogram CSVs of (bin_left, bin_right, count).
+table, and per-histogram CSVs of (bin_left, bin_right, count) over one fixed grid.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .geometry import Partition
 
 __all__ = [
     "CATEGORY_ORDER",
+    "HISTOGRAM_EDGES",
     "EvalRecord",
     "AggregateRow",
     "misclassification_rate",
@@ -30,6 +31,8 @@ __all__ = [
 ]
 
 CATEGORY_ORDER = ("checkerboard", "traffic", "other", "synthetic")
+# per-sequence error bins in percent: 5-point steps to 50, then one bin to 100
+HISTOGRAM_EDGES = (0.0, 5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0, 100.0)
 _ZERO_ERROR_EPS = 1e-12
 
 
@@ -100,15 +103,10 @@ def aggregate(records: list[EvalRecord], motions: int) -> list[AggregateRow]:
     return rows
 
 
-def error_histogram(errors, bin_edges) -> tuple[np.ndarray, float]:
-    """Bin counts (left-closed, last bin closed) plus the exact-zero share in percent."""
-    edges = np.asarray(bin_edges, dtype=np.float64)
-    if edges.ndim != 1 or edges.size < 2 or (np.diff(edges) <= 0).any():
-        raise ValueError("bin edges must be strictly ascending with at least two entries")
-    if edges[0] > 0.0 or edges[-1] < 100.0:
-        raise ValueError("bin edges must cover [0, 100]")
+def error_histogram(errors) -> tuple[np.ndarray, float]:
+    """Counts over ``HISTOGRAM_EDGES`` (left-closed, last bin closed) plus the exact-zero share in percent."""
     values = np.asarray(list(errors), dtype=np.float64)
-    counts, _ = np.histogram(values, bins=edges)
+    counts, _ = np.histogram(values, bins=HISTOGRAM_EDGES)
     if values.size == 0:
         return counts, 0.0
     zero_share = 100.0 * float(np.count_nonzero(np.abs(values) <= _ZERO_ERROR_EPS)) / values.size
@@ -128,17 +126,16 @@ def write_report_csv(path, rows_by_method: dict[str, list[AggregateRow]]) -> Non
                 )
 
 
-def write_histogram_csv(path, bin_edges, counts) -> None:
-    """CSV with columns bin_left, bin_right, count."""
-    edges = np.asarray(bin_edges, dtype=np.float64)
+def write_histogram_csv(path, counts) -> None:
+    """CSV with columns bin_left, bin_right, count: one row per bin of ``HISTOGRAM_EDGES``."""
     counts = np.asarray(counts)
-    if counts.size != edges.size - 1:
-        raise ValueError("counts length must be one less than the number of edges")
+    if counts.size != len(HISTOGRAM_EDGES) - 1:
+        raise ValueError(f"need one count per histogram bin ({len(HISTOGRAM_EDGES) - 1}), got {counts.size}")
     path = Path(path)
     with path.open("w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["bin_left", "bin_right", "count"])
-        for left, right, count in zip(edges[:-1], edges[1:], counts):
+        for left, right, count in zip(HISTOGRAM_EDGES[:-1], HISTOGRAM_EDGES[1:], counts):
             writer.writerow([f"{left:.6g}", f"{right:.6g}", int(count)])
 
 

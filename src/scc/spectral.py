@@ -193,7 +193,7 @@ def _embeddings_to_labels(
         stacked[:] = vecs
         stacked[positive] /= norms[positive, None]
     parts = kmeans(rows, n_clusters, seeds)
-    if data is None or subspace_dim is None:
+    if data is None:
         return parts
     for i, (part, (_, zero_degree)) in enumerate(zip(parts, embeddings)):
         if zero_degree.any():
@@ -292,13 +292,15 @@ def spectral_cluster_factored(
     one stacked k-means call, and the result holds one partition per
     affinity, each what a call on that affinity alone gives. This is the
     engine's spectral path at every N. ``data`` and ``subspace_dim`` are
-    optional; when given, zero-degree points are re-attached to the nearest
-    fitted subspace instead of being left wherever k-means put their zero
-    embedding rows.
+    optional but go together; when given, zero-degree points are re-attached
+    to the nearest fitted subspace instead of being left wherever k-means
+    put their zero embedding rows. Either one alone raises ``ValueError``.
     """
     seeds = list(seeds)
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
+    if (data is None) != (subspace_dim is None):
+        raise ValueError("data and subspace_dim re-attach zero-degree points together: give both or neither")
     embeddings = []
     for affinity in affinities:
         A = np.asarray(affinity, dtype=np.float64)

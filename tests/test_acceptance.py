@@ -21,7 +21,7 @@ from scc.dataio import SynthSpec, synth_affine_motion, synth_subspace_mixture
 from scc.engine import SccConfig, scc_run
 from scc.evaluation import EvalRecord, aggregate, misclassification_rate
 from scc.geometry import Partition, fit_affine_ols, subspace_sq_distances
-from scc.spectral import spectral_cluster
+from scc.spectral import spectral_cluster, spectral_cluster_factored
 
 from oracles import random_flat_tuple, total_scatter
 
@@ -98,20 +98,22 @@ def test_weight_matrices_are_psd():
 
 def test_ideal_spectral_recovery():
     failures = 0
-    for sizes in ([13, 9], [8, 12, 7]):
-        n = sum(sizes)
-        w = np.zeros((n, n))
-        start = 0
-        for size in sizes:
-            w[start : start + size, start : start + size] = 1.0
-            start += size
-        truth = Partition(np.repeat(np.arange(len(sizes)), sizes), len(sizes))
-        for seed in range(20):
-            part = spectral_cluster(w, len(sizes), seed)
-            if misclassification_rate(part, truth) != 0.0:
-                failures += 1
+    for solver in ("dense", "factored"):
+        for sizes in ([13, 9], [8, 12, 7]):
+            labels = np.repeat(np.arange(len(sizes)), sizes)
+            # block indicators A: A A^T is the block matrix of ones the dense solver gets
+            factor = (labels[:, None] == np.arange(len(sizes))).astype(np.float64)
+            w = factor @ factor.T
+            truth = Partition(labels, len(sizes))
+            for seed in range(20):
+                if solver == "dense":
+                    part = spectral_cluster(w, len(sizes), seed)
+                else:
+                    [part] = spectral_cluster_factored([factor], len(sizes), [seed])
+                if misclassification_rate(part, truth) != 0.0:
+                    failures += 1
     ok = failures == 0
-    _report("ideal spectral recovery", ok, f"{failures} failures over 40 seeded runs")
+    _report("ideal spectral recovery", ok, f"{failures} failures over 40 seeded runs of each solver")
 
 
 def _mixture_runs(noise_sigma, seeds_per_k=25):

@@ -151,6 +151,19 @@ def test_mixture_noise():
     assert not np.allclose(data_noisy, data_clean)
 
 
+@pytest.mark.parametrize("block_entries", [1, 7 * 300, dataio._DIAMETER_BLOCK_ENTRIES])
+def test_diameter_matches_direct_pairwise_max(monkeypatch, block_entries):
+    # one row per block, ragged blocks of 7 rows, and one block
+    monkeypatch.setattr(dataio, "_DIAMETER_BLOCK_ENTRIES", block_entries)
+    rng = np.random.default_rng(5)
+    # the norm expansion cancels (shift / spread)^2 * eps of the squared
+    # distances: 100 spreads from the origin still keeps 1e-12
+    for shift in (0.0, 100.0):
+        X = rng.standard_normal((6, 300)) + shift
+        direct = max(float(np.linalg.norm(X - X[:, [j]], axis=0).max()) for j in range(X.shape[1]))
+        assert dataio._diameter(X) == pytest.approx(direct, rel=1e-12, abs=0.0)
+
+
 def test_mixture_rejects_bad_dims():
     with pytest.raises(ValueError):
         synth_subspace_mixture(SynthSpec(n_clusters=1, points_per_cluster=9, subspace_dim=5, ambient_dim=5))

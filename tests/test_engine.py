@@ -91,13 +91,13 @@ def test_sigma_candidate_positions():
     # length 1000, K=2, d=3: 1-based positions 500, 250, 125, 63 (round half up)
     vec = np.arange(1.0, 1001.0)
     for order in (vec, np.random.default_rng(1).permutation(vec)):  # input need not be sorted
-        cands = sigma_candidates(order, n_points=14, subspace_dim=3, n_sets=100, n_clusters=2)
+        cands = sigma_candidates(order, subspace_dim=3, n_clusters=2)
         assert cands == [500.0, 250.0, 125.0, 63.0]
 
 
 def test_sigma_candidates_single_cluster_all_last():
     vec = np.sort(np.random.default_rng(2).random(60))
-    cands = sigma_candidates(vec, n_points=7, subspace_dim=2, n_sets=15, n_clusters=1)
+    cands = sigma_candidates(vec, subspace_dim=2, n_clusters=1)
     assert cands == [float(vec[-1])] * 3
 
 
@@ -106,15 +106,15 @@ def test_sigma_candidates_single_cluster_all_last():
 def test_sigma_candidates_nonincreasing(seed, k):
     rng = np.random.default_rng(seed)
     vec = np.sort(rng.random(120))
-    cands = sigma_candidates(vec, n_points=8, subspace_dim=3, n_sets=30, n_clusters=k)
+    cands = sigma_candidates(vec, subspace_dim=3, n_clusters=k)
     assert all(a >= b for a, b in zip(cands, cands[1:]))
 
 
 def test_sigma_candidates_validation():
     with pytest.raises(ValueError):
-        sigma_candidates(np.array([]), 5, 1, 2, 2)
+        sigma_candidates(np.array([]), 1, 2)
     with pytest.raises(ValueError):
-        sigma_candidates(np.ones(7), 5, 1, 2, 2)  # wrong length
+        sigma_candidates(np.ones((2, 3)), 1, 2)
 
 
 def _halves(n=40):
@@ -247,7 +247,7 @@ def test_sweep_replaces_a_zero_candidate_with_the_positive_floor():
     data = np.hstack([np.vstack([t, zeros, zeros]), np.vstack([zeros, t, np.full(20, 5.0)])])
     sets = np.array([[i, i + 1] for i in range(0, 40, 2)])
     curv, member = curvature_matrix(data, sets)
-    assert sigma_candidates(curv[~member], 40, 1, 20, 2)[1] == 0.0
+    assert sigma_candidates(curv[~member], 1, 2)[1] == 0.0
     cfg = SccConfig(subspace_dim=1, n_clusters=2, n_sample_sets=20, seed=0)
     part, sigma_sq, _, err = sweep_and_cluster(data, sets, cfg)
     assert np.isfinite(sigma_sq) and sigma_sq > 0.0

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scc.evaluation import (
+    HISTOGRAM_EDGES,
     AggregateRow,
     EvalRecord,
     aggregate,
@@ -125,30 +126,23 @@ def test_aggregate_requires_records():
 
 
 def test_histogram_hand_case():
-    counts, zero_share = error_histogram([0.0, 0.0, 0.0, 50.0], [0.0, 10.0, 100.0])
-    assert counts.tolist() == [3, 1]
-    assert zero_share == pytest.approx(75.0)
+    # bins [0, 5), ..., [45, 50), [50, 100]: 50 and 100 both land in the last
+    counts, zero_share = error_histogram([0.0, 0.0, 0.0, 50.0, 100.0])
+    assert HISTOGRAM_EDGES[-2:] == (50.0, 100.0)
+    assert counts.tolist() == [3] + [0] * 9 + [2]
+    assert zero_share == pytest.approx(60.0)
 
 
 def test_histogram_empty():
-    counts, zero_share = error_histogram([], [0.0, 50.0, 100.0])
-    assert counts.tolist() == [0, 0]
+    counts, zero_share = error_histogram([])
+    assert counts.tolist() == [0] * (len(HISTOGRAM_EDGES) - 1)
     assert zero_share == 0.0
-
-
-def test_histogram_rejects_bad_edges():
-    with pytest.raises(ValueError):
-        error_histogram([1.0], [0.0, 0.0, 100.0])
-    with pytest.raises(ValueError):
-        error_histogram([1.0], [5.0, 100.0])
-    with pytest.raises(ValueError):
-        error_histogram([1.0], [0.0, 50.0])
 
 
 def test_histogram_zero_share_matches_recount():
     rng = np.random.default_rng(1)
     errors = np.where(rng.random(40) < 0.6, 0.0, rng.uniform(0.1, 90.0, 40))
-    counts, zero_share = error_histogram(errors, [0.0, 10.0, 50.0, 100.0])
+    counts, zero_share = error_histogram(errors)
     assert counts.sum() == 40
     expected = 100.0 * np.count_nonzero(errors < 1e-12) / 40.0
     assert zero_share == pytest.approx(expected)
@@ -159,7 +153,7 @@ def test_histogram_zero_share_matches_recount():
 def test_histogram_counts_sum(seed, n):
     rng = np.random.default_rng(seed)
     errors = rng.uniform(0.0, 100.0, n)
-    counts, _ = error_histogram(errors, [0.0, 5.0, 25.0, 75.0, 100.0])
+    counts, _ = error_histogram(errors)
     assert counts.sum() == n
 
 
@@ -176,8 +170,13 @@ def test_report_csv_round_trip(tmp_path):
 
 def test_histogram_csv(tmp_path):
     path = tmp_path / "hist.csv"
-    write_histogram_csv(path, [0.0, 10.0, 100.0], [3, 1])
-    assert path.read_text().splitlines() == ["bin_left,bin_right,count", "0,10,3", "10,100,1"]
+    write_histogram_csv(path, [3] + [0] * 9 + [1])
+    lines = path.read_text().splitlines()
+    assert lines[:3] == ["bin_left,bin_right,count", "0,5,3", "5,10,0"]
+    assert lines[-1] == "50,100,1"
+    assert len(lines) == len(HISTOGRAM_EDGES)
+    with pytest.raises(ValueError):
+        write_histogram_csv(path, [3, 1])  # not one count per bin
 
 
 def test_format_table_aligns_methods():

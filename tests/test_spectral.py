@@ -61,7 +61,7 @@ def test_two_parallel_lines_recovered_over_seeds():
     data, truth = _parallel_lines(seed=42)
     sets = sample_initial(data.shape[1], 1, 80, np.random.default_rng(7))
     curv, member = curvature_matrix(data, sets)
-    sigma_sq = sigma_candidates(curv[~member], data.shape[1], 1, 80, 2)[1]
+    sigma_sq = sigma_candidates(curv[~member], 1, 2)[1]
     aff = affinity_from_curvatures(curv, member, sigma_sq)
     for seed in range(20):
         [part] = spectral_cluster_factored([aff], 2, [seed], data=data, subspace_dim=1)
@@ -136,6 +136,40 @@ def test_zero_degree_points_attach_to_nearest_subspace():
         # points 8 and 9 have no affinity at all but sit on line one
         assert part.labels[8] == part.labels[0]
         assert part.labels[9] == part.labels[0]
+
+
+def test_cluster_of_only_zero_degree_points_fits_its_own_members():
+    data, truth = _parallel_lines(seed=1, n_per_line=10)
+    aff = np.zeros((20, 5))
+    aff[:10, :] = 1.0  # line one; no point of line two has any affinity
+    for seed in range(5):
+        [plain] = spectral_cluster_factored([aff], 2, [seed])
+        # k-means puts the zero rows of line two in a cluster of their own
+        assert misclassification_rate(plain, truth) == 0.0
+        # that cluster has no positive-degree member, so its subspace is fitted
+        # to its zero-degree points, and they stay there
+        [part] = spectral_cluster_factored([aff], 2, [seed], data=data, subspace_dim=1)
+        assert misclassification_rate(part, truth) == 0.0
+
+
+def test_empty_cluster_takes_no_zero_degree_point():
+    data, truth = _parallel_lines(seed=1, n_per_line=10)
+    zero_degree = np.zeros(20, dtype=bool)
+    zero_degree[[8, 9, 18, 19]] = True
+    labels = truth.labels.copy()
+    labels[zero_degree] = 0  # where k-means could leave zero embedding rows
+    # cluster 2 has no member at all: it gets no fit and no point
+    attached = scc.spectral._attach_isolated(labels, zero_degree, data, 1, 3)
+    assert np.array_equal(attached, truth.labels)
+
+
+def test_factored_reattachment_needs_data_and_subspace_dim_together():
+    data, _ = _parallel_lines(seed=1, n_per_line=10)
+    aff = np.ones((20, 5))
+    with pytest.raises(ValueError, match="both or neither"):
+        spectral_cluster_factored([aff], 2, [0], data=data)
+    with pytest.raises(ValueError, match="both or neither"):
+        spectral_cluster_factored([aff], 2, [0], subspace_dim=1)
 
 
 def test_factored_matches_dense():
