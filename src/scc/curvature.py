@@ -31,6 +31,8 @@ indices, distinct within each row.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .geometry import as_data_matrix
@@ -108,17 +110,27 @@ def polar_curvature_sq(points, flat_dim: int) -> float:
     return float(curvature_matrix(pts, np.arange(1, flat_dim + 2)[None, :])[0][0, 0])
 
 
-# entries (4 MB) of the largest per-chunk temporary of ``_curvature_block``:
-# the (b, D, N) offsets or the (b, min(D, d), d+1, N) vertex differences.
-# At perfbench large_n size (N = 6000, D = 20, c = 300) a call took about
-# 0.33 s at 2 to 8 MB and 0.65 s at 16 MB, where every chunk's temporaries
-# came from fresh pages (some 26k page faults per call under glibc's default
-# malloc settings). At 1 MB the kernel scales linearly in N and c, and the
-# fixed per-run costs pull the doubling ratios of test_complexity_scaling
-# down to its 1.5 floor.
+# entries (4 MB) of a chunk budget. The workspace of one ``curvature_matrix``
+# call holds two budgets (8 MB; one subset's share when that is more), and
+# every temporary of ``_curvature_block`` is a view of it, so a
+# call allocates it once instead of taking fresh temporaries for every
+# chunk. When each chunk allocated its own, glibc's malloc handed them new
+# pages: about 1.2M page faults over two in-process cycles of perfbench's
+# motion workload, against about 600 with the workspace, and the two cycles
+# took 11.9-13.5 s against 7.4-8.3 s (2-core host, 1 BLAS thread).
 _CHUNK_ENTRIES = 1 << 19
 # squared distance, in units of the subset's extent, below which two points coincide
 _DUP_TOL = (1e3 * _EPS) ** 2
+
+
+def _workspace_rows(ambient: int, k: int, m: int) -> int:
+    """(b, N) rows of workspace per subset: the most ``_curvature_block`` holds at once.
+
+    Its three steps hold h2, T, the offsets and Q T (1 + k + 2D rows); h2,
+    T or s (which overwrites T) and the vertex differences (1 + m + k m);
+    h2, s and five combine-step rows (5 + 2m).
+    """
+    return max(1 + k + 2 * ambient, 1 + m + k * m, 5 + 2 * m)
 
 
 def curvature_matrix(data, sample_sets) -> tuple[np.ndarray, np.ndarray]:
@@ -135,10 +147,10 @@ def curvature_matrix(data, sample_sets) -> tuple[np.ndarray, np.ndarray]:
     T = Q^T (x - anchor) in that frame and squared distance h^2 to the
     subset's flat, so the tuple's squared volume term is
     prod(diag(R))^2 * h^2 and its squared distance to subset point j is
-    |T - R_j|^2 + h^2. Columns are evaluated in chunks whose largest
-    temporary holds at most ``_CHUNK_ENTRIES`` entries (or one column's),
-    at O(d * D * N) cost per column; the output does not depend on chunk
-    boundaries.
+    |T - R_j|^2 + h^2. Columns are evaluated in chunks, at O(d * D * N)
+    cost per column, and every chunk works in one workspace of
+    2 * ``_CHUNK_ENTRIES`` entries (or one column's, if more), allocated
+    once per call; the output does not depend on chunk boundaries.
     """
     X = as_data_matrix(data)
     ambient, n = X.shape
@@ -148,12 +160,17 @@ def curvature_matrix(data, sample_sets) -> tuple[np.ndarray, np.ndarray]:
     curv = np.empty((n, c))
     member = np.zeros((n, c), dtype=bool)
 
-    # per subset: the wider of the (D, N) offsets and the (min(D, d), d+1, N)
-    # vertex differences, the largest temporaries of _curvature_block
-    chunk = max(1, _CHUNK_ENTRIES // (n * max(ambient, min(ambient, m - 1) * m)))
+    per_subset = _workspace_rows(ambient, min(ambient, m - 1), m)
+    chunk = max(1, 2 * _CHUNK_ENTRIES // (n * per_subset))
+    # one size for every call that fits in it: once glibc's malloc has raised
+    # its mmap threshold to that size, each call's workspace comes from the
+    # heap the last one left, and none is mapped beside it (sized per call,
+    # two in-process motion cycles peaked about 5 MB higher)
+    work = np.empty(max(2 * _CHUNK_ENTRIES, per_subset * n))
     for start in range(0, c, chunk):
         block = sets[start : start + chunk]
-        curv[:, start : start + block.shape[0]] = _curvature_block(X, block).T
+        curv[:, start : start + block.shape[0]] = _curvature_block(X, block, work).T
+    del work
 
     rows = sets.ravel()
     cols = np.repeat(np.arange(c), m)
@@ -162,18 +179,34 @@ def curvature_matrix(data, sample_sets) -> tuple[np.ndarray, np.ndarray]:
     return curv, member
 
 
-def _curvature_block(X: np.ndarray, sets: np.ndarray) -> np.ndarray:
-    """(b, N) curvatures of all points against one chunk of b sampled subsets."""
+def _curvature_block(X: np.ndarray, sets: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """(b, N) curvatures of all points against one chunk of b sampled subsets.
+
+    Every (b, N)-sized array is a view of ``work``, and so is the result,
+    which the next call overwrites.
+    """
     b, m = sets.shape
+    n = X.shape[1]
+
+    def view(first: int, shape: tuple, dtype=np.float64) -> np.ndarray:
+        # the workspace from its (b, N) row ``first`` on, as an array of ``shape``
+        return work[first * b * n :].view(dtype)[: math.prod(shape)].reshape(shape)
+
     anchors = X[:, sets[:, 0]].T  # (b, D)
     edges = X[:, sets[:, 1:]].transpose(1, 0, 2) - anchors[:, :, None]  # (b, D, d)
     Q, R = np.linalg.qr(edges)  # R: (b, k, d), k = min(D, d)
+    ambient, k = Q.shape[1:]
 
-    offsets = X[None, :, :] - anchors[:, :, None]  # (b, D, N)
-    T = Q.transpose(0, 2, 1) @ offsets  # (b, k, N)
-    offsets -= Q @ T
-    h2 = np.einsum("bdn,bdn->bn", offsets, offsets)
-    del offsets
+    # workspace rows: h2 [0, 1), T [1, 1 + k), the offsets and Q T after T;
+    # then s over T [1, 1 + m), the vertex differences and the combine step after s
+    h2 = view(0, (b, n))
+    T = view(1, (b, k, n))
+    offsets = view(1 + k, (b, ambient, n))
+    np.subtract(X[None, :, :], anchors[:, :, None], out=offsets)
+    np.matmul(Q.transpose(0, 2, 1), offsets, out=T)
+    QT = view(1 + k + ambient, (b, ambient, n))
+    offsets -= np.matmul(Q, T, out=QT)
+    np.einsum("bdn,bdn->bn", offsets, offsets, out=h2)
 
     # units of the subset's extent; a subset of one point, or of one point
     # repeated, has none and keeps the input's units
@@ -183,35 +216,46 @@ def _curvature_block(X: np.ndarray, sets: np.ndarray) -> np.ndarray:
     T /= unit[:, None, None]
     h2 /= (unit**2)[:, None]
 
-    vertices = np.concatenate([np.zeros((b, R.shape[1], 1)), R], axis=2)  # (b, k, m)
+    vertices = np.concatenate([np.zeros((b, k, 1)), R], axis=2)  # (b, k, m)
     vdiff = vertices[:, :, :, None] - vertices[:, :, None, :]
     base_sq = np.einsum("bkij,bkij->bij", vdiff, vdiff)  # (b, m, m)
     # squared distances to the subset's points, (b, m, N): reductions over
     # the short vertex axis stay vectorized along N
-    tdiff = T[:, :, None, :] - vertices[:, :, :, None]
-    s = np.einsum("bkjn,bkjn->bjn", tdiff, tdiff) + h2[:, None, :]
-    del tdiff
+    tdiff = np.subtract(T[:, :, None, :], vertices[:, :, :, None], out=view(1 + m, (b, k, m, n)))
+    s = np.einsum("bkjn,bkjn->bjn", tdiff, tdiff, out=view(1, (b, m, n)))
+    s += h2[:, None, :]
 
     # ((d+1)! * Vol)^2 of every tuple [x, subset]
-    dets = (np.diagonal(R, axis1=1, axis2=2) ** 2).prod(axis=1)[:, None] * h2
+    dets = view(1 + m, (b, n))
+    np.multiply((np.diagonal(R, axis1=1, axis2=2) ** 2).prod(axis=1)[:, None], h2, out=dets)
 
     others = ~np.eye(m, dtype=bool)
     base_vertex_prod = np.where(others, base_sq, 1.0).prod(axis=2)  # (b, m)
 
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        inv_sum = 1.0 / s.prod(axis=1) + (1.0 / (s * base_vertex_prod[:, :, None])).sum(axis=1)
-        diam_sq = np.maximum(base_sq.max(axis=(1, 2))[:, None], s.max(axis=1))
-        out = diam_sq * dets * inv_sum * ((unit**2) / (m + 1))[:, None]
+        inv_sum = np.divide(1.0, s.prod(axis=1, out=view(2 + m, (b, n))), out=view(2 + m, (b, n)))
+        inv_vertex = np.multiply(s, base_vertex_prod[:, :, None], out=view(3 + m, (b, m, n)))
+        np.divide(1.0, inv_vertex, out=inv_vertex)
+        inv_sum += inv_vertex.sum(axis=1, out=view(3 + 2 * m, (b, n)))
+        out = s.max(axis=1, out=view(4 + 2 * m, (b, n)))
+        np.maximum(base_sq.max(axis=(1, 2))[:, None], out, out=out)  # the squared diameter
+        out *= dets
+        out *= inv_sum
+        out *= ((unit**2) / (m + 1))[:, None]
 
     # an exact duplicate leaves round-off of relative size eps in the
     # distances; without any extent the subset is one point and only an
     # exact zero counts
     tol = np.where(extent > 0.0, _DUP_TOL, 0.0)
-    dup = s <= tol[:, None, None]
+    dup = np.less_equal(s, tol[:, None, None], out=view(3 + m, (b, m, n), np.bool_))
     base_dup = (base_sq[:, others] <= tol[:, None]).any(axis=1)
-    out[dup.any(axis=1) | base_dup[:, None]] = np.inf
-    out[dup.all(axis=1) & (extent == 0.0)[:, None]] = 0.0
-    np.nan_to_num(out, copy=False, nan=np.inf, posinf=np.inf)
+    mask = view(1 + m, (b, n), np.bool_)
+    np.logical_or(dup.any(axis=1, out=mask), base_dup[:, None], out=mask)
+    np.copyto(out, np.inf, where=mask)
+    np.logical_and(dup.all(axis=1, out=mask), (extent == 0.0)[:, None], out=mask)
+    np.copyto(out, 0.0, where=mask)
+    # 0 * inf in the product above
+    np.copyto(out, np.inf, where=np.isnan(out, out=mask))
     return out
 
 

@@ -347,6 +347,8 @@ def scc_run(data, config: SccConfig) -> SccResult:
     The run computes on one OpenBLAS thread and then restores the caller's
     counts: a multi-threaded OpenBLAS rounds its sums differently, which can
     tip a near-tie into another partition. Concurrent calls run one at a time.
+    Raises ValueError when every point of the working data (the data after
+    the projection) coincides, since no partition of it means anything.
     """
     with _one_blas_thread():
         X = as_data_matrix(data)
@@ -361,6 +363,8 @@ def scc_run(data, config: SccConfig) -> SccResult:
             raise ValueError(f"subspace_dim {d} exceeds the working dimension {work_dim}")
 
         work = project_pca(X, work_dim)
+        if (work == work[:, :1]).all():
+            raise ValueError("every point of the working data coincides: there is nothing to cluster")
 
         c = config.sample_set_count
         sets = sample_initial(n, d, c, seeding.generator(config.seed, _STREAM_INITIAL, 0))

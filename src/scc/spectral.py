@@ -4,10 +4,14 @@ Implements the symmetric-normalization variant: rows are embedded with the
 top-K eigenvectors of Deg^{-1/2} W Deg^{-1/2}, row-normalized, and clustered
 by k-means. For W = A A^T given by its (N, c) affinity factor A, the
 embedding comes from the smaller side of B = Deg^{-1/2} A (the left singular
-vectors of B, all products in numpy), so the N x N matrix is never formed;
-the factored path takes several affinities (the bandwidth candidates of
-one sweep), embeds them one at a time and clusters all their embeddings in
-one k-means call.
+vectors of B, all products in numpy), so the N x N matrix is never formed.
+That side's top eigenvalue is 1 with a known eigenvector, which is deflated
+exactly; the other K - 1 eigenpairs come from a block Lanczos solver with
+full reorthogonalization and a deterministic start, run until their
+residuals are below 1e-8 (the dense ``eigh`` it replaced is its reference
+in ``tests/oracles.py``). The factored path takes several
+affinities (the bandwidth candidates of one sweep), embeds them one at a
+time and clusters all their embeddings in one k-means call.
 K-means takes a stack of embeddings, each with its own seed and generator,
 which draws the k-means++ start of every restart in turn. All restarts of
 all embeddings then run their Lloyd iterations as one batch, which
@@ -23,6 +27,9 @@ reference the factored path is tested against.
 """
 
 from __future__ import annotations
+
+import functools
+import math
 
 import numpy as np
 import scipy.linalg
@@ -243,34 +250,162 @@ def spectral_cluster(weights, n_clusters: int, seed: int) -> Partition:
     return _embeddings_to_labels([(vecs, zero_degree)], n_clusters, [seed])[0]
 
 
+# residual norm |G y - theta y| at which a Ritz pair of the small side G,
+# whose top eigenvalue is 1, counts as converged. An eigenvector's error is
+# at most the residual over its eigengap; on the tests' affinities the
+# subspaces agree with a dense eigh to 2e-14 in cos^2, and no partition of
+# perfbench's seeds 1-3 moved against 1e-10, which took 8-14% longer
+_LANCZOS_TOL = 1e-8
+# a new Krylov row shorter than this after reorthogonalization (|G| = 1)
+# spans nothing new: the space so far is invariant
+_BREAKDOWN = 64 * np.finfo(np.float64).eps
+# the seeding tag of the solver's start block and fresh directions
+_LANCZOS_STREAM = 103
+# each Krylov step applies G this many times: the solver runs on G^4, whose
+# top eigenvalues stand further apart from the spectrum's bulk near 0, so
+# fewer steps (each with its fixed numpy overhead) reach the tolerance
+_POWER = 4
+
+
+@functools.lru_cache(maxsize=32)
+def _start_block(count: int, m: int) -> np.ndarray:
+    """The solver's deterministic start: ``count`` standard normal rows of length m (read-only).
+
+    Cached, since building the generator costs about as much as a Lanczos
+    step on a small side.
+    """
+    block = seeding.generator(_LANCZOS_STREAM).standard_normal((count, m))
+    block.flags.writeable = False
+    return block
+
+
+def _fresh_row(rows: np.ndarray) -> np.ndarray:
+    """A unit vector orthogonal to ``rows``, which span less than everything, keyed by their count."""
+    rng = seeding.generator(_LANCZOS_STREAM, rows.shape[0])
+    while True:
+        row = rng.standard_normal(rows.shape[1])
+        for _ in range(2):
+            row -= (rows @ row) @ rows
+        norm = math.sqrt(row @ row)
+        if norm > _BREAKDOWN:
+            return row / norm
+
+
+def _lanczos(G: np.ndarray, known: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Top ``count`` eigenpairs of the symmetric PSD G on the complement of its unit eigenvector ``known``.
+
+    ``known`` belongs to G's top eigenvalue, 1, and is deflated exactly: a
+    block Lanczos of width ``count`` on G^``_POWER`` (the same eigenvectors,
+    in the same order, since G is PSD) runs in its orthogonal complement
+    from a deterministic start, and every new block is orthogonalized twice
+    against all rows so far (full reorthogonalization). The block width
+    lets a wanted eigenvalue repeat up to ``count`` times, as 1 does once
+    for every connected component beyond the first. The Rayleigh-Ritz pairs
+    of G on the basis are tested at growing intervals, and the run stops
+    once every wanted pair's residual |G y - theta y| is at most
+    ``_LANCZOS_TOL``, or when the basis holds all m rows of G's space,
+    where the pairs are exact (the Krylov dimension is capped at m). A
+    block row that the orthogonalization leaves at round-off level spans
+    nothing new, and a fresh direction replaces it. Returns the eigenvalues
+    in ascending order and the eigenvectors as columns.
+    """
+    m = G.shape[0]
+    if count == 0:
+        return np.empty(0), np.empty((m, 0))
+    basis = np.empty((m, m))  # rows: known, then the Krylov blocks
+    basis[0] = known
+    images = np.empty((m, m))  # row i: G applied to basis row i
+    start_block = _start_block(count, m)
+    block = start_block - np.outer(start_block @ known, known)
+    filled = 1
+    due = 3 * count  # Krylov rows at the next convergence test
+    last_test = None  # (Krylov rows, largest residual) at the previous test
+    while True:
+        # append the block's rows, orthonormal among themselves, as far as they fit
+        start = filled
+        for row in block[: m - filled]:
+            if filled > start:
+                for _ in range(2):
+                    row -= (basis[start:filled] @ row) @ basis[start:filled]
+            norm = math.sqrt(row @ row)
+            if norm > _BREAKDOWN:
+                np.divide(row, norm, out=basis[filled])
+            else:
+                basis[filled] = _fresh_row(basis[:filled])
+            filled += 1
+        rows = basis[:filled]
+        block = np.matmul(basis[start:filled], G, out=images[start:filled])
+        for _ in range(_POWER - 1):  # _POWER > 1, so images is never overwritten below
+            block = block @ G
+        block -= (block @ rows.T) @ rows
+        block -= (block @ rows.T) @ rows
+        k = filled - 1
+        if filled < m and k < due:
+            continue
+        # the Rayleigh quotient of the Krylov rows (known is G's eigenvector, so
+        # it is left out), in the column order LAPACK reads without a copy
+        proj = images[1:filled] @ basis[1:filled].T
+        vals, vecs, _, _, info = scipy.linalg.lapack.dsyevr(
+            proj.T, compute_v=1, range="I", il=k - count + 1, iu=k, overwrite_a=1
+        )
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
+        vals, vecs = vals[:count], vecs[:, :count]
+        ritz = vecs.T @ basis[1:filled]
+        if filled == m:
+            break
+        residual = vecs.T @ images[1:filled] - vals[:, None] * ritz
+        worst = math.sqrt(np.einsum("ij,ij->i", residual, residual).max())
+        if worst <= _LANCZOS_TOL:
+            break
+        step = k // 2
+        if last_test is not None and worst < last_test[1]:
+            # the rate between the last two tests predicts the rows still needed
+            rate = math.log(worst / last_test[1]) / (k - last_test[0])
+            step = min(k, math.ceil(math.log(_LANCZOS_TOL / worst) / rate))
+        last_test = (k, worst)
+        due = k + max(count, step)
+    return vals, ritz.T
+
+
 def _factored_embedding(A: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvectors of B B^T for B = Deg^{-1/2} A, solved on B's smaller side.
 
     Returns the (N, n_clusters) embedding, columns in ascending eigenvalue
-    order, and the zero-degree mask. With N > c the c x c problem B^T B v =
-    lambda v gives u = B v / sqrt(lambda). Each of the top n_clusters
-    directions that B does not span (lambda at round-off level, or missing
-    because n_clusters > c) gets a zero column, so rank-deficient
-    affinities embed without NaN and reproducibly.
+    order, and the zero-degree mask. The small side is G = B^T B when
+    N > c and B B^T otherwise, of size m = min(N, c). For nonnegative A its
+    top eigenvalue is 1, with eigenvector D^{1/2} 1 on the N side and
+    B^T D^{1/2} 1 = A^T 1 on the c side; the other top eigenpairs come from
+    ``_lanczos``. With N > c, u = B v / sqrt(lambda) lifts an eigenvector
+    to N rows. Each of the top n_clusters directions that B does not span
+    (lambda at round-off level, or missing because n_clusters > c) gets a
+    zero column, so rank-deficient affinities embed without NaN and
+    reproducibly.
     """
     n, c = A.shape
-    zero_degree, inv_sqrt = _inverse_sqrt_degree(A @ A.sum(axis=0))
+    col_sums = A.sum(axis=0)
+    deg = A @ col_sums
+    zero_degree, inv_sqrt = _inverse_sqrt_degree(deg)
     B = A * inv_sqrt[:, None]
-    small_side = B.T @ B if n > c else B @ B.T
+    small_side, top_vector = (B.T @ B, col_sums) if n > c else (B @ B.T, deg * inv_sqrt)
     m = small_side.shape[0]
     top = min(n_clusters, m)
-    # small_side is exactly symmetric, so its transpose is the same matrix in
-    # the Fortran order LAPACK works in: eigh then skips a transposing copy
-    vals, vecs = scipy.linalg.eigh(
-        small_side.T, subset_by_index=(m - top, m - 1), overwrite_a=True, check_finite=False
-    )
-    spanned = vals > m * np.finfo(np.float64).eps * max(float(vals[-1]), 0.0)
+    embedding = np.zeros((n, n_clusters))
+    norm = math.sqrt(top_vector @ top_vector)
+    if norm == 0.0:  # no affinity at all: B spans nothing
+        return embedding, zero_degree
+    vals, vecs = _lanczos(small_side, top_vector / norm, top - 1)
+    vals = np.append(vals, 1.0)
+    vecs = np.column_stack([vecs, top_vector / norm])
+    spanned = vals > m * np.finfo(np.float64).eps
     if n > c:
         vecs = B @ vecs[:, spanned] / np.sqrt(vals[spanned])
     else:
         vecs = vecs[:, spanned]
-    embedding = np.zeros((n, n_clusters))
     embedding[:, n_clusters - top + np.flatnonzero(spanned)] = vecs
+    # on the N side the Krylov rows carry round-off where G's rows are zero;
+    # k-means would scale it up to unit rows
+    embedding[zero_degree] = 0.0
     return embedding, zero_degree
 
 
@@ -287,8 +422,11 @@ def spectral_cluster_factored(
     ``affinities`` is an iterable of (N, c) affinity factors, one per seed
     in ``seeds``; it is read one factor at a time, and each factor is
     reduced to its (N, n_clusters) embedding before the next is read, so
-    storage stays O(N * c) however many there are. Each embedding costs one
-    symmetric eigensolve of size min(N, c). The embeddings then go through
+    storage stays O(N * c) however many there are. Affinities are
+    nonnegative, as the engine's are. Each embedding takes the top
+    eigenvectors of the min(N, c)-sized small side from the Lanczos solver
+    (``_lanczos``), at O(min(N, c)^2) per Krylov row once the small side is
+    formed. The embeddings then go through
     one stacked k-means call, and the result holds one partition per
     affinity, each what a call on that affinity alone gives. This is the
     engine's spectral path at every N. ``data`` and ``subspace_dim`` are

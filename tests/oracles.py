@@ -9,6 +9,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.linalg
 
 
 def eig_tail_sum(points: np.ndarray, dim: int) -> float:
@@ -78,6 +79,32 @@ def naive_weight_matrix(affinity: np.ndarray) -> np.ndarray:
                 acc += affinity[i, r] * affinity[j, r]
             out[i, j] = acc
     return out
+
+
+def factored_embedding_eigh(affinity: np.ndarray, n_clusters: int) -> np.ndarray:
+    """Spectral embedding of A A^T from a dense eigensolve of B's smaller side.
+
+    B = Deg^{-1/2} A with zero-degree rows left at zero. The top n_clusters
+    eigenvectors of B^T B (lifted as B v / sqrt(lambda)) or of B B^T are the
+    columns, in ascending eigenvalue order; a direction B does not span
+    (lambda at round-off level, or missing because n_clusters exceeds the
+    smaller side) is a zero column.
+    """
+    A = np.asarray(affinity, dtype=np.float64)
+    n, c = A.shape
+    deg = A @ A.sum(axis=0)
+    inv_sqrt = np.zeros(n)
+    inv_sqrt[deg > 0.0] = 1.0 / np.sqrt(deg[deg > 0.0])
+    B = A * inv_sqrt[:, None]
+    small = B.T @ B if n > c else B @ B.T
+    m = small.shape[0]
+    top = min(n_clusters, m)
+    vals, vecs = scipy.linalg.eigh(small, subset_by_index=(m - top, m - 1))
+    spanned = vals > m * np.finfo(np.float64).eps * max(float(vals[-1]), 0.0)
+    vecs = B @ vecs[:, spanned] / np.sqrt(vals[spanned]) if n > c else vecs[:, spanned]
+    embedding = np.zeros((n, n_clusters))
+    embedding[:, n_clusters - top + np.flatnonzero(spanned)] = vecs
+    return embedding
 
 
 def brute_force_misclassification(predicted: np.ndarray, truth: np.ndarray, k: int) -> float:

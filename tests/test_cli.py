@@ -153,6 +153,16 @@ def test_cluster_exit_codes(tmp_path):
     assert main(["cluster", "--in", str(seq), "--d", "0", "--K", "2"]) == 3
 
 
+def test_cluster_rejects_a_sequence_whose_points_all_coincide(tmp_path, capsys):
+    same = tmp_path / "same.seq"
+    rows = [" ".join([value] * 30) for value in ("0.25", "-1", "3", "0.5")]
+    same.write_text("\n".join(["SEQ same F=2 N=30 K=0 CAT=test"] + rows) + "\n")
+    out = tmp_path / "same.txt"
+    assert main(["cluster", "--in", str(same), "--d", "1", "--K", "2", "--out", str(out)]) == 3
+    assert "every point of the working data coincides" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cluster_internal_error_prints_traceback(tmp_path, monkeypatch, capsys):
     seq = _synth(tmp_path, "f.seq", K=2, N=30, D=6, d=2, seed=1)
     capsys.readouterr()

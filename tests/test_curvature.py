@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -185,8 +186,9 @@ def test_curvature_matrix_flat_dim_zero_is_squared_distance():
 
 
 def test_curvature_matrix_does_not_depend_on_chunk_boundaries(monkeypatch):
-    # d = 3 in R^4: the (b, 3, 4, N) vertex differences, not the (b, 4, N)
-    # offsets, bound the chunk, and the default budget needs several chunks
+    # d = 3 in R^4: the step holding the (b, 3, 4, N) vertex differences, not
+    # the one holding the (b, 4, N) offsets, bounds the chunk, and the
+    # default budget needs several chunks
     rng = np.random.default_rng(24)
     n, d, c = 2000, 3, 60
     data = rng.standard_normal((d + 1, n))
@@ -195,7 +197,7 @@ def test_curvature_matrix_does_not_depend_on_chunk_boundaries(monkeypatch):
     sets[0, 0] = 8
     block = curvature._curvature_block
     chunks = []
-    monkeypatch.setattr(curvature, "_curvature_block", lambda X, s: chunks.append(len(s)) or block(X, s))
+    monkeypatch.setattr(curvature, "_curvature_block", lambda X, s, work: chunks.append(len(s)) or block(X, s, work))
 
     results = []
     for entries in (curvature._CHUNK_ENTRIES, 1, 1 << 21):
@@ -203,9 +205,28 @@ def test_curvature_matrix_does_not_depend_on_chunk_boundaries(monkeypatch):
         chunks.clear()
         curv, member = curvature_matrix(data, sets)
         results.append((len(chunks), curv.tobytes(), member.tobytes()))
-    assert [r[0] for r in results] == [3, c, 1]
+    assert [r[0] for r in results] == [2, c, 1]
     assert curv[7, 0] == math.inf
     assert results[1][1:] == results[0][1:] == results[2][1:]
+
+
+@pytest.mark.parametrize("ambient, n, d", [(20, 2000, 3), (60, 360, 4)])
+def test_curvature_matrix_peaks_at_its_outputs_plus_the_workspace(ambient, n, d):
+    # perfbench large_n's shape at N = 2000, and an SCC(4,2F) motion shape:
+    # every chunk temporary is a view of one workspace of two chunk budgets,
+    # so a call allocates little beyond it and its outputs
+    rng = np.random.default_rng(25)
+    data = rng.standard_normal((ambient, n))
+    sets = np.array([rng.choice(n, size=d + 1, replace=False) for _ in range(300)])
+    curvature_matrix(data, sets)  # first-call allocations of numpy and LAPACK
+    tracemalloc.start()
+    try:
+        curv, member = curvature_matrix(data, sets)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    budget = 2 * curvature._CHUNK_ENTRIES * curv.itemsize
+    assert peak - curv.nbytes - member.nbytes <= budget + (1 << 20)
 
 
 def test_curvature_vector_flat_data_is_tiny():

@@ -266,6 +266,17 @@ def test_scc_run_bandwidth_is_finite_on_two_repeated_points():
     assert misclassification_rate(result.partition, Partition(np.repeat([0, 1], [20, 10]), 2)) == 0.0
 
 
+def test_scc_run_rejects_data_whose_points_all_coincide():
+    # 30 copies of one point: every curvature is 0, so any split is arbitrary
+    data = np.repeat(np.array([[1.0], [-2.0], [0.5], [3.0]]), 30, axis=1)
+    for projection in ("ambient", "d+1"):
+        with pytest.raises(ValueError, match="every point of the working data coincides"):
+            scc_run(data, SccConfig(subspace_dim=1, n_clusters=2, projection=projection))
+    # one point apart is data to cluster
+    data[:, 0] += 1.0
+    assert scc_run(data, SccConfig(subspace_dim=1, n_clusters=2, max_iterations=2)).partition.size == 30
+
+
 def test_scc_run_noiseless_mixture():
     spec = SynthSpec(n_clusters=2, points_per_cluster=60, subspace_dim=2, ambient_dim=6, seed=7)
     data, truth = synth_subspace_mixture(spec)

@@ -2,16 +2,17 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import scc.spectral
 from scc.curvature import affinity_from_curvatures, curvature_matrix, pairwise_weights
-from scc.dataio import SynthSpec, synth_affine_motion
+from scc.dataio import SynthSpec, synth_affine_motion, synth_subspace_mixture
 from scc.engine import SccConfig, sample_initial, scc_run, sigma_candidates
 from scc.evaluation import misclassification_rate
 from scc.geometry import Partition
 from scc.spectral import _factored_embedding, _lloyd, kmeans, spectral_cluster, spectral_cluster_factored
 
-from oracles import kmeans_sequential, labeling_cost
+from oracles import factored_embedding_eigh, kmeans_sequential, labeling_cost
 
 
 def _block_weights(sizes):
@@ -200,6 +201,100 @@ def test_factored_matches_dense():
         [first] = spectral_cluster_factored([aff], 3, [8])
         [again] = spectral_cluster_factored(iter([aff]), 3, [8])
         assert first.n_clusters == 3 and np.array_equal(first.labels, again.labels)
+
+
+def _assert_embeds_like_eigh(aff, k):
+    """The solver's embedding spans the eigh oracle's, with zero columns in the same places."""
+    got, _ = _factored_embedding(aff, k)
+    want = factored_embedding_eigh(aff, k)
+    spanned = want.any(axis=0)
+    assert np.array_equal(got.any(axis=0), spanned)
+    if spanned.any():
+        # cos^2 of the largest principal angle between the two column spaces
+        q_got, q_want = np.linalg.qr(got[:, spanned])[0], np.linalg.qr(want[:, spanned])[0]
+        agreement = np.linalg.svd(q_got.T @ q_want, compute_uv=False).min() ** 2
+        assert agreement >= 1.0 - 1e-10, (aff.shape, k, agreement)
+    return got
+
+
+def _block_affinity(rng, n_per_block, c_per_block):
+    """Each block of points has affinity only to its own block of subsets."""
+    blocks = [rng.uniform(0.1, 1.0, (n_per_block, c_per_block)) for _ in range(3)]
+    return scipy.linalg.block_diag(*blocks)
+
+
+def _ring_affinity():
+    """Three blocks of points, each tied only to its own ring of subsets.
+
+    Point i of a block of n points and c subsets has affinity 1 to subset
+    i c // n and 0.5 to the next one around the ring, so each block is one
+    connected component whose spectrum falls off slowly below 1.
+    """
+    blocks = []
+    for n, c in ((90, 40), (93, 42), (96, 44)):
+        block = np.zeros((n, c))
+        j = np.arange(n) * c // n
+        block[np.arange(n), j] = 1.0
+        block[np.arange(n), (j + 1) % c] = 0.5
+        blocks.append(block)
+    return scipy.linalg.block_diag(*blocks)
+
+
+def test_solver_recovers_a_repeated_top_eigenvalue():
+    # three components: eigenvalue 1 three times, so the two top directions
+    # beside the deflated one share one eigenvalue, which a single Krylov
+    # vector would see only once
+    aff = _ring_affinity()
+    for side in (aff, aff.T.copy()):  # the c side, then the N side
+        _assert_embeds_like_eigh(side, 3)
+    rng = np.random.default_rng(30)
+    for n_per_block, c_per_block in ((15, 20), (30, 10)):
+        _assert_embeds_like_eigh(_block_affinity(rng, n_per_block, c_per_block), 3)
+
+
+def _sweep_affinities(n, c, seed):
+    """Every bandwidth candidate's affinity of one sweep over a noisy 3-flat mixture."""
+    data, _ = synth_subspace_mixture(
+        SynthSpec(n_clusters=3, points_per_cluster=n // 3, subspace_dim=2, ambient_dim=6, noise_sigma=0.03, seed=seed)
+    )
+    sets = sample_initial(data.shape[1], 2, c, np.random.default_rng(seed))
+    curv, member = curvature_matrix(data, sets)
+    return [affinity_from_curvatures(curv, member, s) for s in sigma_candidates(curv[~member], 2, 3) if s > 0.0]
+
+
+@pytest.mark.parametrize("n, c", [(60, 150), (400, 200), (360, 300)])
+def test_solver_matches_eigh_on_noisy_affinities(n, c):
+    # small sides of 60 (B B^T), 200 and 300 (B^T B), the sizes of perfbench's
+    # protocol, of the scaling gate and of motion
+    for aff in _sweep_affinities(n, c, seed=n):
+        for k in (2, 3):
+            _assert_embeds_like_eigh(aff, k)
+
+
+def test_solver_with_zero_degree_rows_and_more_clusters_than_subsets():
+    rng = np.random.default_rng(31)
+    for aff in _sweep_affinities(60, 150, seed=5)[:2] + [_block_affinity(rng, 12, 5)]:
+        aff = aff.copy()
+        aff[[3, 17, 30]] = 0.0
+        embedding = _assert_embeds_like_eigh(aff, 3)
+        assert not embedding[[3, 17, 30]].any()
+    # K > c: the top eigenvector plus one more direction, then a zero column
+    embedding = _assert_embeds_like_eigh(rng.random((30, 2)), 3)
+    assert not embedding[:, 0].any() and embedding[:, 1:].all()
+    # rank(B) = 2 < K = 4 on either side: two unspanned directions
+    for aff in (np.hstack([rng.random((30, 2)), np.zeros((30, 6))]), np.hstack([rng.random((6, 2)), np.zeros((6, 8))])):
+        embedding = _assert_embeds_like_eigh(aff, 4)
+        assert not embedding[:, :2].any() and embedding[:, 2:].any(axis=0).all()
+    # no affinity at all: nothing is spanned
+    embedding, zero_degree = _factored_embedding(np.zeros((8, 5)), 2)
+    assert not embedding.any() and zero_degree.all()
+
+
+def test_solver_repeats_itself_byte_for_byte():
+    for aff in _sweep_affinities(400, 200, seed=7)[:2] + [_block_affinity(np.random.default_rng(32), 15, 20)]:
+        first, _ = _factored_embedding(aff, 3)
+        again, _ = _factored_embedding(aff.copy(), 3)
+        assert first.tobytes() == again.tobytes()
 
 
 def test_kmeans_every_point_its_own_cluster():
