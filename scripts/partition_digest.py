@@ -4,21 +4,19 @@
 Writes the seeded inputs of the `motion`, `large_n` and `protocol`
 workloads of ``perfbench/workloads.py`` to a temporary directory, runs each
 case once at one OpenBLAS thread, as the benchmark does, and prints one
-line per case: its name, the SHA-256 of its int64 labels, the SHA-256 of
-the same labels renumbered 0, 1, ... in order of first occurrence, its
-misclassification in percent and the number of iterations the run made.
+line per case: its name, the SHA-256 of its int64 labels (which the
+engine numbers in order of first occurrence, so they depend only on the
+grouping found), its misclassification in percent and the number of
+iterations the run made.
 A `protocol` case is one `scc bench` cell: a sequence under one of the
 workload's regimes, run for each of its repeats with the trial seeds
-`scc bench --seed` gives; its digests cover the labels of every repeat
-(each repeat renumbered on its own), its error is their mean, as
-records.csv holds it, and its iteration counts are listed per repeat,
-comma-separated. The mean misclassification of each
+`scc bench --seed` gives; its digest covers the labels of every repeat,
+its error is their mean, as records.csv holds it, and its iteration counts
+are listed per repeat, comma-separated. The mean misclassification of each
 regime (workload, d and projection) and of all cases follows. Two commits
-give the same labels on a seed exactly when their first digests are equal,
-and the same groupings exactly when their second digests are: a case whose
-first digest changes and second does not was only relabeled. A diff of the
-two outputs also shows what a changed partition did to the accuracy and
-which runs a change of stopping rule shortened:
+give the same partitions on a seed exactly when their digests are equal.
+A diff of the two outputs also shows what a changed partition did to the
+accuracy and which runs a change of stopping rule shortened:
 
     python scripts/partition_digest.py --seed 1 > after.txt
     diff before.txt after.txt
@@ -45,7 +43,7 @@ import numpy as np
 
 from scc import load_sequence, seeding
 from scc.cli import _parse_regime
-from scc.engine import SccConfig, _first_occurrence_labels, scc_run
+from scc.engine import SccConfig, scc_run
 from scc.evaluation import misclassification_rate
 from workloads import ITERATIONS, PROTOCOL_REGIMES, PROTOCOL_REPEATS, load_cases, make_inputs
 
@@ -65,11 +63,9 @@ def protocol_cases(seed: int, inputs: Path):
             yield f"{record.sequence_id}:SCC({d},{projection})", f"protocol SCC({d},{projection})", record, configs
 
 
-def digests(labelings) -> str:
-    """SHA-256 of the concatenated int64 labels, then of each labeling renumbered by first occurrence."""
-    raw = np.concatenate([labels.astype(np.int64) for labels in labelings])
-    grouped = np.concatenate([_first_occurrence_labels(labels).astype(np.int64) for labels in labelings])
-    return f"{hashlib.sha256(raw.tobytes()).hexdigest()} {hashlib.sha256(grouped.tobytes()).hexdigest()}"
+def digest(labelings) -> str:
+    """SHA-256 of the concatenated int64 labels."""
+    return hashlib.sha256(np.concatenate([labels.astype(np.int64) for labels in labelings]).tobytes()).hexdigest()
 
 
 def main() -> int:
@@ -84,20 +80,20 @@ def main() -> int:
             make_inputs(workload, args.seed, inputs)
             for case in load_cases(workload, args.seed, inputs):
                 result = scc_run(case.data, case.config)
-                hashes = digests([result.partition.labels])
+                labels_digest = digest([result.partition.labels])
                 error = misclassification_rate(result.partition, case.truth)
                 regime = f"{workload} SCC({case.config.subspace_dim},{case.config.projection})"
                 errors.setdefault(regime, []).append(error)
-                print(f"{case.name} {hashes} {error:.4f} {result.iterations_run}", flush=True)
+                print(f"{case.name} {labels_digest} {error:.4f} {result.iterations_run}", flush=True)
         inputs = Path(tmp) / "protocol"
         make_inputs("protocol", args.seed, inputs)
         for name, regime, record, configs in protocol_cases(args.seed, inputs):
             results = [scc_run(record.trajectories, config) for config in configs]
-            hashes = digests([r.partition.labels for r in results])
+            labels_digest = digest([r.partition.labels for r in results])
             error = statistics.fmean(misclassification_rate(r.partition, record.truth_labels) for r in results)
             errors.setdefault(regime, []).append(error)
             iterations = ",".join(str(r.iterations_run) for r in results)
-            print(f"{name} {hashes} {error:.4f} {iterations}", flush=True)
+            print(f"{name} {labels_digest} {error:.4f} {iterations}", flush=True)
     for regime, values in errors.items():
         print(f"mean {regime}: {statistics.fmean(values):.4f}% over {len(values)} cases")
     every = [value for values in errors.values() for value in values]

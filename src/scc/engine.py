@@ -7,12 +7,15 @@ curvatures, spectrally cluster each candidate's affinity, keep the partition
 of smallest total OLS error, then redraw the subsets from within the current
 clusters and repeat until one of the stopping conditions below holds.
 
-A run stops at the first of three conditions: an iteration that does not
-improve the best error returns the best partition again, up to relabeling
-("repeat"); three consecutive iterations fail to improve it ("patience");
-or the iteration limit is reached ("limit"). Each iteration's
+An iteration improves on the best partition when its error is lower by a
+relative 1e-6, and only then replaces it. A run stops at the first of three
+conditions: an iteration that does not improve returns the best partition's
+grouping again ("repeat"); three consecutive iterations fail to improve
+("patience"); or the iteration limit is reached ("limit"). Each iteration's
 seeds are keyed by (seed, iteration), so a run that stops early is a prefix
-of the run it would have made without the first condition.
+of the run it would have made without the first condition. The returned
+labels are numbered in order of first occurrence, so a result depends only
+on the grouping found.
 
 A sweep runs in two passes: each candidate's affinity and embedding, one
 candidate at a time, then one k-means call over all the embeddings, each
@@ -86,12 +89,13 @@ class SccConfig:
     """Parameters of one clustering run.
 
     ``n_sample_sets`` defaults to 100 per cluster and ``max_iterations`` to
-    max(10, 2 * (subspace_dim + 1)). The run stops early once the best OLS
-    error has failed to improve by a relative 1e-6 for 3 consecutive
-    iterations, or as soon as an iteration that fails to improve it returns
-    the best partition again, up to relabeling: from the same clusters the
-    next draw would search the same neighbourhood. The tolerance and the
-    count of 3 are fixed.
+    max(10, 2 * (subspace_dim + 1)). An iteration improves when its OLS
+    error is below the best's by a relative 1e-6; only then does its
+    partition become the best. The run stops early once 3 consecutive
+    iterations have failed to improve, or as soon as one that fails to
+    improve groups the points as the best partition does: from the same
+    clusters the next draw would search the same neighbourhood. The
+    tolerance and the count of 3 are fixed.
     """
 
     subspace_dim: int
@@ -138,23 +142,22 @@ class SccResult:
 
     All error values refer to the working space of the run, i.e. the data
     after the configured projection (``working_dim`` rows).
-    ``per_iteration_errors`` holds one entry per iteration run.
-    ``stop_reason`` says which condition ended the run: "repeat", "patience"
-    or "limit" (see ``SccConfig``); when several hold at the same iteration,
-    the first of that list is given.
+    ``partition`` is the partition of the last iteration that improved (the
+    first always does; see ``SccConfig``), its labels numbered in order of
+    first occurrence, and ``ols_error`` is its error; no entry of
+    ``per_iteration_errors`` (one per iteration run) is below it by a
+    relative 1e-6. ``stop_reason`` says which condition ended the run:
+    "repeat", "patience" or "limit"; when several hold at the same
+    iteration, the first of that list is given.
     """
 
     partition: Partition
+    ols_error: float
     sigma_sq_chosen: float
     q_chosen: int
     per_iteration_errors: list[float] = field(repr=False)
     working_dim: int
     stop_reason: str
-
-    @property
-    def ols_error(self) -> float:
-        """The OLS error of ``partition``: the least of ``per_iteration_errors``."""
-        return min(self.per_iteration_errors)
 
     @property
     def iterations_run(self) -> int:
@@ -243,15 +246,16 @@ def resample_within(
 
 
 def _first_occurrence_labels(labels: np.ndarray) -> np.ndarray:
-    """The labels renumbered 0, 1, ... in order of first occurrence.
-
-    Two labelings give the same result exactly when they group the points
-    alike, whatever numbers they give the groups.
-    """
+    """The labels renumbered 0, 1, ... in order of first occurrence."""
     _, first, inverse = np.unique(labels, return_index=True, return_inverse=True)
     rank = np.empty_like(first)
     rank[np.argsort(first)] = np.arange(first.size)
     return rank[inverse]
+
+
+def _same_grouping(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two labelings group the points alike, whatever numbers they give the groups."""
+    return np.array_equal(_first_occurrence_labels(a), _first_occurrence_labels(b))
 
 
 def _positive_floor(curv: np.ndarray) -> float:
@@ -370,38 +374,32 @@ def scc_run(data, config: SccConfig) -> SccResult:
         sets = sample_initial(n, d, c, seeding.generator(config.seed, _STREAM_INITIAL, 0))
 
         best: tuple[Partition, float, int, float] | None = None
-        best_labels = None  # best's labels in first-occurrence order
         per_iteration: list[float] = []
         stalled = 0
         stop_reason = "limit"
         for iteration in range(1, config.iteration_limit + 1):
             partition, sigma_sq, q, error = sweep_and_cluster(work, sets, config, iteration)
             per_iteration.append(error)
-            labels = _first_occurrence_labels(partition.labels)
-            if best is None:
-                improved, repeated = True, False
-            else:
-                improved = error < best[3] * (1.0 - _IMPROVEMENT_TOL) and best[3] > 0.0
-                # against best before it is replaced: an error lower only within
-                # the tolerance still returns the partition already found
-                repeated = not improved and np.array_equal(labels, best_labels)
-            if best is None or error < best[3]:
-                best, best_labels = (partition, sigma_sq, q, error), labels
-            stalled = 0 if improved else stalled + 1
-            if repeated:
+            if best is None or error < best[3] * (1.0 - _IMPROVEMENT_TOL):
+                best = (partition, sigma_sq, q, error)
+                stalled = 0
+            elif _same_grouping(partition.labels, best[0].labels):
                 stop_reason = "repeat"
                 break
-            if stalled >= _PATIENCE:
-                stop_reason = "patience"
-                break
+            else:
+                stalled += 1
+                if stalled >= _PATIENCE:
+                    stop_reason = "patience"
+                    break
             if iteration < config.iteration_limit:
                 sets = resample_within(
                     partition, d, c, seeding.generator(config.seed, _STREAM_RESAMPLE, iteration)
                 )
 
-        partition, sigma_sq, q, _ = best
+        partition, sigma_sq, q, error = best
         return SccResult(
-            partition=partition,
+            partition=Partition(_first_occurrence_labels(partition.labels), partition.n_clusters),
+            ols_error=error,
             sigma_sq_chosen=sigma_sq,
             q_chosen=q,
             per_iteration_errors=per_iteration,

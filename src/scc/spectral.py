@@ -194,10 +194,11 @@ def _embeddings_to_labels(
 ) -> list[Partition]:
     """One partition per (embedding, zero-degree mask), from one stacked k-means call."""
     rows = np.empty((len(embeddings),) + embeddings[0][0].shape)
-    for stacked, (vecs, _) in zip(rows, embeddings):
-        norms = np.linalg.norm(vecs, axis=1)
-        positive = norms > 0.0
+    for stacked, (vecs, zero_degree) in zip(rows, embeddings):
         stacked[:] = vecs
+        stacked[zero_degree] = 0.0  # a solver's round-off there would normalize to unit rows
+        norms = np.linalg.norm(stacked, axis=1)
+        positive = norms > 0.0
         stacked[positive] /= norms[positive, None]
     parts = kmeans(rows, n_clusters, seeds)
     if data is None:
@@ -245,7 +246,8 @@ def spectral_cluster(weights, n_clusters: int, seed: int) -> Partition:
         raise ValueError(f"cannot split {n} points into {n_clusters} clusters")
 
     zero_degree, inv_sqrt = _inverse_sqrt_degree(W.sum(axis=1))
-    M = W * inv_sqrt[:, None] * inv_sqrt[None, :]
+    # in Fortran order, which LAPACK reads without a transposed copy
+    M = np.multiply(W * inv_sqrt[:, None], inv_sqrt[None, :], order="F")
     _, vecs = scipy.linalg.eigh(M, subset_by_index=(n - n_clusters, n - 1))
     return _embeddings_to_labels([(vecs, zero_degree)], n_clusters, [seed])[0]
 
@@ -403,9 +405,6 @@ def _factored_embedding(A: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.
     else:
         vecs = vecs[:, spanned]
     embedding[:, n_clusters - top + np.flatnonzero(spanned)] = vecs
-    # on the N side the Krylov rows carry round-off where G's rows are zero;
-    # k-means would scale it up to unit rows
-    embedding[zero_degree] = 0.0
     return embedding, zero_degree
 
 

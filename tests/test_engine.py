@@ -322,8 +322,9 @@ def test_scc_run_best_seen_semantics():
     spec = SynthSpec(n_clusters=2, points_per_cluster=40, subspace_dim=2, ambient_dim=6, seed=5, noise_sigma=0.08)
     data, _ = synth_subspace_mixture(spec)
     result = scc_run(data, SccConfig(subspace_dim=2, n_clusters=2, seed=2))
-    assert result.ols_error == min(result.per_iteration_errors)
-    assert all(result.ols_error <= e for e in result.per_iteration_errors)
+    # the returned partition is an iteration's own, and no iteration improved on it
+    assert result.ols_error in result.per_iteration_errors
+    assert all(e >= result.ols_error * (1.0 - 1e-6) for e in result.per_iteration_errors)
     assert result.iterations_run == len(result.per_iteration_errors)
     # ambient regime: the reported error is reproducible from the partition
     assert result.working_dim == data.shape[0]
@@ -434,14 +435,14 @@ def test_scc_run_waits_out_patience_on_a_different_partition_of_equal_error(monk
 
 def test_scc_run_compares_with_the_best_partition_before_replacing_it(monkeypatch):
     lower = 1.0 - 1e-9  # lower, but within the 1e-6 tolerance: not an improvement
-    # the best partition again at a slightly lower error is a repeat ...
+    # the best partition again at a slightly lower error is a repeat and does not replace it ...
     result, sweeps = _scripted_run(monkeypatch, [(_P, 1.0), (_P_RELABELED, lower)] + [(_Q, 2.0)] * 8)
     assert (sweeps, result.stop_reason) == (2, "repeat")
-    assert result.ols_error == lower and result.q_chosen == 2
-    # ... while another partition at that error is not, though it becomes the best
+    assert result.partition.labels.tolist() == _P and result.q_chosen == 1 and result.ols_error == 1.0
+    # ... while another partition at that error is not a repeat, and does not replace it either
     result, sweeps = _scripted_run(monkeypatch, [(_P, 1.0), (_Q, lower)] + [(_R, 2.0)] * 8)
     assert (sweeps, result.stop_reason) == (4, "patience")
-    assert result.partition.labels.tolist() == _Q and result.ols_error == lower
+    assert result.partition.labels.tolist() == _P and result.q_chosen == 1 and result.ols_error == 1.0
 
 
 def test_scc_run_at_zero_error_stops_at_its_first_repeat(monkeypatch):
@@ -465,9 +466,8 @@ def test_scc_run_that_stops_on_a_repeat_is_a_prefix_of_the_run_without_the_rule(
         config = SccConfig(subspace_dim=2, n_clusters=3, seed=seed)
         with_rule = scc_run(data, config)
         with monkeypatch.context() as patch:
-            # distinct on every call, so no iteration counts as a repeat
-            fresh = itertools.count()
-            patch.setattr("scc.engine._first_occurrence_labels", lambda labels: np.array([next(fresh)]))
+            # no iteration counts as a repeat
+            patch.setattr("scc.engine._same_grouping", lambda a, b: False)
             without = scc_run(data, config)
         assert without.stop_reason != "repeat"
         run = with_rule.iterations_run
@@ -477,6 +477,17 @@ def test_scc_run_that_stops_on_a_repeat_is_a_prefix_of_the_run_without_the_rule(
         assert np.array_equal(with_rule.partition.labels, without.partition.labels)
         stopped.append(with_rule.stop_reason)
     assert "repeat" in stopped
+
+
+def test_scc_run_numbers_its_labels_in_order_of_first_occurrence():
+    spec = SynthSpec(n_clusters=3, points_per_cluster=20, subspace_dim=2, ambient_dim=8, seed=4, noise_sigma=0.05)
+    data, _ = synth_subspace_mixture(spec)
+    data = data[:, np.random.default_rng(4).permutation(data.shape[1])]
+    for projection in ("ambient", "4K", "d+1"):
+        for seed in range(3):
+            config = SccConfig(subspace_dim=2, n_clusters=3, seed=seed, projection=projection, max_iterations=3)
+            labels = scc_run(data, config).partition.labels
+            assert np.array_equal(labels, _first_occurrence_labels(labels)), (projection, seed)
 
 
 def _blas_counts():

@@ -271,13 +271,35 @@ def test_solver_matches_eigh_on_noisy_affinities(n, c):
             _assert_embeds_like_eigh(aff, k)
 
 
-def test_solver_with_zero_degree_rows_and_more_clusters_than_subsets():
-    rng = np.random.default_rng(31)
-    for aff in _sweep_affinities(60, 150, seed=5)[:2] + [_block_affinity(rng, 12, 5)]:
-        aff = aff.copy()
+def _rows_to_kmeans(monkeypatch, solve):
+    """The row matrices ``solve()`` hands to k-means, one per embedding."""
+    seen = []
+    batched = scc.spectral.kmeans
+
+    def recording(rows, n_clusters, seeds):
+        seen.extend(group.copy() for group in rows)
+        return batched(rows, n_clusters, seeds)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(scc.spectral, "kmeans", recording)
+        solve()
+    return seen
+
+
+def _zero_degree_affinities(rng):
+    """Two sweep affinities (the N side) and a block affinity (the c side), with points 3, 17 and 30 cut off."""
+    affs = _sweep_affinities(60, 150, seed=5)[:2] + [_block_affinity(rng, 12, 5)]
+    for aff in affs:
         aff[[3, 17, 30]] = 0.0
-        embedding = _assert_embeds_like_eigh(aff, 3)
-        assert not embedding[[3, 17, 30]].any()
+    return affs
+
+
+def test_solver_with_zero_degree_rows_and_more_clusters_than_subsets(monkeypatch):
+    rng = np.random.default_rng(31)
+    for aff in _zero_degree_affinities(rng):
+        _assert_embeds_like_eigh(aff, 3)
+        [rows] = _rows_to_kmeans(monkeypatch, lambda: spectral_cluster_factored([aff], 3, [0]))
+        assert not rows[[3, 17, 30]].any()
     # K > c: the top eigenvector plus one more direction, then a zero column
     embedding = _assert_embeds_like_eigh(rng.random((30, 2)), 3)
     assert not embedding[:, 0].any() and embedding[:, 1:].all()
@@ -288,6 +310,13 @@ def test_solver_with_zero_degree_rows_and_more_clusters_than_subsets():
     # no affinity at all: nothing is spanned
     embedding, zero_degree = _factored_embedding(np.zeros((8, 5)), 2)
     assert not embedding.any() and zero_degree.all()
+
+
+def test_dense_solver_gives_zero_degree_points_zero_rows(monkeypatch):
+    # eigh leaves round-off in those rows, which row normalization would make unit rows
+    for aff in _zero_degree_affinities(np.random.default_rng(31)):
+        [rows] = _rows_to_kmeans(monkeypatch, lambda: spectral_cluster(pairwise_weights(aff), 3, 0))
+        assert not rows[[3, 17, 30]].any()
 
 
 def test_solver_repeats_itself_byte_for_byte():
