@@ -1,20 +1,24 @@
 #!/usr/bin/env python3
-"""Print a SHA-256 of the labels of every perfbench motion case, large_n trial and protocol cell.
+"""Print SHA-256s of the labels and kernel outputs of every perfbench motion case, large_n trial and protocol cell.
 
 Writes the seeded inputs of the `motion`, `large_n` and `protocol`
 workloads of ``perfbench/workloads.py`` to a temporary directory, runs each
 case once at one OpenBLAS thread, as the benchmark does, and prints one
 line per case: its name, the SHA-256 of its int64 labels (which the
 engine numbers in order of first occurrence, so they depend only on the
-grouping found), its misclassification in percent and the number of
-iterations the run made.
+grouping found), the SHA-256 of every ``curvature_matrix`` output the run
+computed (the bytes of each call's curvatures and member mask, in call
+order), its misclassification in percent and the number of iterations the
+run made.
 A `protocol` case is one `scc bench` cell: a sequence under one of the
 workload's regimes, run for each of its repeats with the trial seeds
-`scc bench --seed` gives; its digest covers the labels of every repeat,
-its error is their mean, as records.csv holds it, and its iteration counts
-are listed per repeat, comma-separated. The mean misclassification of each
-regime (workload, d and projection) and of all cases follows. Two commits
-give the same partitions on a seed exactly when their digests are equal.
+`scc bench --seed` gives; its digests cover the labels and kernel outputs
+of every repeat, its error is their mean, as records.csv holds it, and its
+iteration counts are listed per repeat, comma-separated. The mean
+misclassification of each regime (workload, d and projection) and of all
+cases follows. Two commits give the same partitions on a seed exactly when
+their label digests are equal, and the same curvatures on every kernel call
+of the seed's inputs when their kernel digests are.
 A diff of the two outputs also shows what a changed partition did to the
 accuracy and which runs a change of stopping rule shortened:
 
@@ -41,6 +45,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import numpy as np
 
+import scc.engine
 from scc import load_sequence, seeding
 from scc.cli import _parse_regime
 from scc.engine import SccConfig, scc_run
@@ -68,12 +73,33 @@ def digest(labelings) -> str:
     return hashlib.sha256(np.concatenate([labels.astype(np.int64) for labels in labelings]).tobytes()).hexdigest()
 
 
+class KernelDigest:
+    """Takes the engine's place of ``curvature_matrix`` and hashes every (curv, member) it returns."""
+
+    def __init__(self):
+        self.kernel = scc.engine.curvature_matrix
+        self.hash = hashlib.sha256()
+        scc.engine.curvature_matrix = self
+
+    def __call__(self, data, sample_sets):
+        curv, member = self.kernel(data, sample_sets)
+        self.hash.update(curv.tobytes())
+        self.hash.update(member.tobytes())
+        return curv, member
+
+    def take(self) -> str:
+        """The SHA-256 of the outputs since the last take; the next one starts afresh."""
+        value, self.hash = self.hash.hexdigest(), hashlib.sha256()
+        return value
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--seed", type=int, default=1, help="workload seed, as perfbench/run.py --seed")
     args = parser.parse_args()
 
     errors: dict[str, list[float]] = {}
+    kernel = KernelDigest()
     with tempfile.TemporaryDirectory() as tmp:
         for workload in ("motion", "large_n"):
             inputs = Path(tmp) / workload
@@ -84,7 +110,7 @@ def main() -> int:
                 error = misclassification_rate(result.partition, case.truth)
                 regime = f"{workload} SCC({case.config.subspace_dim},{case.config.projection})"
                 errors.setdefault(regime, []).append(error)
-                print(f"{case.name} {labels_digest} {error:.4f} {result.iterations_run}", flush=True)
+                print(f"{case.name} {labels_digest} {kernel.take()} {error:.4f} {result.iterations_run}", flush=True)
         inputs = Path(tmp) / "protocol"
         make_inputs("protocol", args.seed, inputs)
         for name, regime, record, configs in protocol_cases(args.seed, inputs):
@@ -93,7 +119,7 @@ def main() -> int:
             error = statistics.fmean(misclassification_rate(r.partition, record.truth_labels) for r in results)
             errors.setdefault(regime, []).append(error)
             iterations = ",".join(str(r.iterations_run) for r in results)
-            print(f"{name} {labels_digest} {error:.4f} {iterations}", flush=True)
+            print(f"{name} {labels_digest} {kernel.take()} {error:.4f} {iterations}", flush=True)
     for regime, values in errors.items():
         print(f"mean {regime}: {statistics.fmean(values):.4f}% over {len(values)} cases")
     every = [value for values in errors.values() for value in values]

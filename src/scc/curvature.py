@@ -112,13 +112,23 @@ def polar_curvature_sq(points, flat_dim: int) -> float:
 
 # entries (4 MB) of a chunk budget. The workspace of one ``curvature_matrix``
 # call holds two budgets (8 MB; one subset's share when that is more), and
-# every temporary of ``_curvature_block`` is a view of it, so a
+# every temporary of ``_curvature_block`` is a view of it (those of the
+# D-dimensional residual step only of a ``_BLOCK_ENTRIES`` slice), so a
 # call allocates it once instead of taking fresh temporaries for every
 # chunk. When each chunk allocated its own, glibc's malloc handed them new
 # pages: about 1.2M page faults over two in-process cycles of perfbench's
 # motion workload, against about 600 with the workspace, and the two cycles
 # took 11.9-13.5 s against 7.4-8.3 s (2-core host, 1 BLAS thread).
 _CHUNK_ENTRIES = 1 << 19
+# entries (512 KB) of the D-dimensional residual step's two temporaries, the
+# offsets and Q T of a block of a chunk's subsets: at a chunk's size they
+# are about 4 MB at SCC(4,2F) motion shapes, twice a core's 2 MB L2 cache,
+# and every pass over them streamed from L3. Over the kernel calls of one
+# cycle of each perfbench workload (seed 7, median of 5 in-process reps,
+# 2-core host, 1 BLAS thread) whole-chunk temporaries took 1.87 s (motion),
+# 1.40 s (large_n) and 0.96 s (protocol), and blocks of 2^16 entries 1.53,
+# 1.15 and 0.85 s; 2^14 to 2^17 entries read within 10% of 2^16, either way.
+_BLOCK_ENTRIES = 1 << 16
 # squared distance, in units of the subset's extent, below which two points coincide
 _DUP_TOL = (1e3 * _EPS) ** 2
 
@@ -128,7 +138,12 @@ def _workspace_rows(ambient: int, k: int, m: int) -> int:
 
     Its three steps hold h2, T, the offsets and Q T (1 + k + 2D rows); h2,
     T or s (which overwrites T) and the vertex differences (1 + m + k m);
-    h2, s and five combine-step rows (5 + 2m).
+    h2, s and five combine-step rows (5 + 2m). The offsets and Q T take only
+    a ``_BLOCK_ENTRIES`` slice of their 2D rows at a time, but the rows stay
+    counted, so a block of up to the whole chunk fits. Dropping them gave
+    larger chunks and no faster kernel: x0.80 of the whole-chunk kernel's
+    time on perfbench motion and x0.76 on large_n, against x0.77 and x0.75
+    with them (one cycle's kernel calls, median of 7 in-process reps).
     """
     return max(1 + k + 2 * ambient, 1 + m + k * m, 5 + 2 * m)
 
@@ -150,7 +165,11 @@ def curvature_matrix(data, sample_sets) -> tuple[np.ndarray, np.ndarray]:
     |T - R_j|^2 + h^2. Columns are evaluated in chunks, at O(d * D * N)
     cost per column, and every chunk works in one workspace of
     2 * ``_CHUNK_ENTRIES`` entries (or one column's, if more), allocated
-    once per call; the output does not depend on chunk boundaries.
+    once per call. Within a chunk, the D-dimensional step that yields T and
+    h^2 runs over blocks of subsets whose (D, N) temporaries fit one
+    cache-sized ``_BLOCK_ENTRIES`` slice of that workspace (one subset's,
+    if more). The output depends on neither the chunk nor the block
+    boundaries.
     """
     X = as_data_matrix(data)
     ambient, n = X.shape
@@ -201,12 +220,16 @@ def _curvature_block(X: np.ndarray, sets: np.ndarray, work: np.ndarray) -> np.nd
     # then s over T [1, 1 + m), the vertex differences and the combine step after s
     h2 = view(0, (b, n))
     T = view(1, (b, k, n))
-    offsets = view(1 + k, (b, ambient, n))
-    np.subtract(X[None, :, :], anchors[:, :, None], out=offsets)
-    np.matmul(Q.transpose(0, 2, 1), offsets, out=T)
-    QT = view(1 + k + ambient, (b, ambient, n))
-    offsets -= np.matmul(Q, T, out=QT)
-    np.einsum("bdn,bdn->bn", offsets, offsets, out=h2)
+    # the (sub, D, N) offsets and Q T of a block of subsets: together at most
+    # _BLOCK_ENTRIES entries, unless one subset's are more
+    sub = max(1, _BLOCK_ENTRIES // (2 * ambient * n))
+    for lo in range(0, b, sub):
+        hi = min(lo + sub, b)
+        offsets, QT = view(1 + k, (2, hi - lo, ambient, n))
+        np.subtract(X[None, :, :], anchors[lo:hi, :, None], out=offsets)
+        np.matmul(Q[lo:hi].transpose(0, 2, 1), offsets, out=T[lo:hi])
+        offsets -= np.matmul(Q[lo:hi], T[lo:hi], out=QT)
+        np.einsum("bdn,bdn->bn", offsets, offsets, out=h2[lo:hi])
 
     # units of the subset's extent; a subset of one point, or of one point
     # repeated, has none and keeps the input's units

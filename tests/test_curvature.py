@@ -210,6 +210,29 @@ def test_curvature_matrix_does_not_depend_on_chunk_boundaries(monkeypatch):
     assert results[1][1:] == results[0][1:] == results[2][1:]
 
 
+def test_curvature_matrix_does_not_depend_on_the_residual_block(monkeypatch):
+    # an SCC(4,2F)-like shape in R^48: the default block holds 10 subsets and
+    # a chunk 162, so each of the two chunks ends in a partial block
+    rng = np.random.default_rng(26)
+    ambient, n, d, c = 48, 64, 4, 300
+    data = rng.standard_normal((ambient, n))
+    data[:, 5] = data[:, 6]  # point 5 scores +inf against every subset holding 6
+    sets = np.array([rng.choice(np.arange(6, n), size=d + 1, replace=False) for _ in range(c)])
+    sets[-1, 0] = 6
+    per_subset = curvature._workspace_rows(ambient, d, d + 1)
+    chunk = 2 * curvature._CHUNK_ENTRIES // (n * per_subset)
+    block = curvature._BLOCK_ENTRIES // (2 * ambient * n)
+    assert 1 < block < chunk < c and chunk % block and (c - chunk) % block
+
+    results = []
+    for entries in (1, curvature._BLOCK_ENTRIES, 2 * ambient * n * chunk):
+        monkeypatch.setattr(curvature, "_BLOCK_ENTRIES", entries)
+        curv, member = curvature_matrix(data, sets)
+        results.append((curv.tobytes(), member.tobytes()))
+    assert curv[5, -1] == math.inf
+    assert results[0] == results[1] == results[2]
+
+
 @pytest.mark.parametrize("ambient, n, d", [(20, 2000, 3), (60, 360, 4)])
 def test_curvature_matrix_peaks_at_its_outputs_plus_the_workspace(ambient, n, d):
     # perfbench large_n's shape at N = 2000, and an SCC(4,2F) motion shape:

@@ -1,5 +1,6 @@
 import contextlib
 import itertools
+import math
 import sys
 import threading
 from collections import Counter
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scc import engine
 from scc.curvature import curvature_matrix
 from scc.dataio import SynthSpec, synth_subspace_mixture
 from scc.engine import (
@@ -108,6 +110,22 @@ def test_sigma_candidates_nonincreasing(seed, k):
     vec = np.sort(rng.random(120))
     cands = sigma_candidates(vec, subspace_dim=3, n_clusters=k)
     assert all(a >= b for a, b in zip(cands, cands[1:]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_sigma_candidates_are_entries_of_the_fully_sorted_vector(k, d):
+    # below length K^(d+1) several q round to one position; the entries hold
+    # ties, zeros and +inf, as the curvatures of exact fits and duplicates do
+    rng = np.random.default_rng(10 * k + d)
+    top = k ** (d + 1)
+    for length in sorted({1, 2, 3, k, k + 1, top // 2, top - 1, top, top + 1, 3 * top}):
+        vec = rng.integers(0, 4, length).astype(float)
+        vec[rng.random(length) < 0.2] = np.inf
+        before = vec.copy()
+        positions = [min(max(math.floor(length / k**q + 0.5), 1), length) for q in range(1, d + 2)]
+        assert sigma_candidates(vec, d, k) == [float(np.sort(before)[p - 1]) for p in positions]
+        assert np.array_equal(vec, before)
 
 
 def test_sigma_candidates_validation():
@@ -253,6 +271,35 @@ def test_sweep_replaces_a_zero_candidate_with_the_positive_floor():
     assert np.isfinite(sigma_sq) and sigma_sq > 0.0
     assert err == 0.0
     assert misclassification_rate(part, Partition(np.repeat([0, 1], 20), 2)) == 0.0
+
+
+def test_sweep_computes_the_positive_floor_only_for_a_zero_or_infinite_candidate(monkeypatch):
+    # record each value _positive_floor returns and each sigma^2 the sweep tries
+    floors, sigmas = [], []
+    floor, affinity = engine._positive_floor, engine.affinity_from_curvatures
+    monkeypatch.setattr(engine, "_positive_floor", lambda curv: floors.append(floor(curv)) or floors[-1])
+    monkeypatch.setattr(
+        engine, "affinity_from_curvatures", lambda curv, member, s: sigmas.append(s) or affinity(curv, member, s)
+    )
+    data, _ = synth_subspace_mixture(SynthSpec(2, 15, subspace_dim=1, ambient_dim=3, noise_sigma=0.05, seed=3))
+    sets = sample_initial(data.shape[1], 1, 30, np.random.default_rng(3))
+    curv, member = curvature_matrix(data, sets)
+    candidates = sigma_candidates(curv[~member], 1, 2)
+    assert all(0.0 < s < math.inf for s in candidates)
+    sweep_and_cluster(data, sets, SccConfig(subspace_dim=1, n_clusters=2, n_sample_sets=30, seed=3))
+    assert floors == [] and sigmas == candidates
+
+    # the sweep of test_sweep_replaces_a_zero_candidate_with_the_positive_floor
+    t = np.arange(1.0, 21.0)
+    zeros = np.zeros(20)
+    data = np.hstack([np.vstack([t, zeros, zeros]), np.vstack([zeros, t, np.full(20, 5.0)])])
+    sets = np.array([[i, i + 1] for i in range(0, 40, 2)])
+    curv, member = curvature_matrix(data, sets)
+    candidates = sigma_candidates(curv[~member], 1, 2)
+    sigmas.clear()
+    sweep_and_cluster(data, sets, SccConfig(subspace_dim=1, n_clusters=2, n_sample_sets=20, seed=0))
+    assert len(floors) == 1 and 0.0 < floors[0] < math.inf
+    assert sigmas == [candidates[0], floors[0]]
 
 
 def test_scc_run_bandwidth_is_finite_on_two_repeated_points():
