@@ -21,6 +21,9 @@ A sweep runs in two passes: each candidate's affinity and embedding, one
 candidate at a time, then one k-means call over all the embeddings, each
 with its own seed; each partition then gets its zero-degree attachment and
 its OLS error, and the smallest error wins (the smallest q on a tie).
+The affinities are computed as the spectral step reads them, and the
+curvature matrix is freed after the last one, so a sweep holds at most
+two (N, c) float arrays at once (see ``sweep_and_cluster``).
 
 Subsets are drawn one pool at a time (the whole point set, or one cluster):
 Floyd's algorithm, run one column at a time on all of the pool's rows, so a
@@ -197,32 +200,50 @@ def _draw_sets(pools, quotas, size: int, rng: np.random.Generator) -> np.ndarray
     return np.concatenate(blocks)
 
 
-def sigma_candidates(sq_curvatures, subspace_dim: int, n_clusters: int) -> list[float]:
+def sigma_candidates(curv, member, subspace_dim: int, n_clusters: int) -> list[float]:
     """The d+1 bandwidth candidates sigma^2, one per q = 1..d+1.
 
-    For a curvature vector of length L, candidate q is its entry at 1-based
-    position round(L / K^q) in ascending order (round half up, clamped to
-    the valid range; the input need not be sorted), used directly as
-    sigma^2. The sweep passes the (N-d-1)*c curvatures of the points
-    outside their sampled sets.
+    ``curv`` holds squared curvatures and ``member`` is a boolean mask of
+    its shape; the entries under the mask are left out. For the L entries
+    outside it, candidate q is their entry at 1-based position
+    round(L / K^q) in ascending order (round half up, clamped to the valid
+    range; the input need not be sorted), used directly as sigma^2. The
+    sweep passes the (N, c) curvature matrix and its member mask, so the
+    candidates come from the (N-d-1)*c curvatures of the points outside
+    their sampled sets.
 
-    The positions never grow with q, so the candidates are selected largest
-    first, each by one ``np.partition`` of the entries the previous one kept
-    at or below its position: L entries for q = 1, about L/K for q = 2, and
-    so on. Order statistics are exact, so the values are those of a full
-    sort. One partition with every position (numpy's multi-kth selection)
-    took 31 ms over the 1.8M curvatures of a perfbench ``large_n`` sweep,
-    against 7.8 ms for the narrowing ones (median of 15, 2-core host).
+    The work happens on one copy of ``curv``, whose member entries are set
+    to +inf: they sort at or above every curvature, so the first L
+    positions of the copy, sorted, hold the values of the L others, sorted
+    (ties between a member and an infinite curvature are equal values).
+    The positions never grow with q, so the candidates are selected
+    largest first, each by one in-place partition of the front part the
+    previous one kept: the whole copy for q = 1, about L/K entries for
+    q = 2, and so on, so the member entries drop out after the first.
+    Order statistics are exact, so the values are those of a full sort.
+    The inputs are not modified, and the copy is the only array of their
+    size that the call allocates. One partition with every position
+    (numpy's multi-kth selection) took 31 ms over the 1.8M curvatures of a
+    perfbench ``large_n`` sweep, against 7.8 ms for the narrowing ones
+    (median of 15, 2-core host). Member entries set to -inf instead, with
+    every position shifted past them, stay in every narrowed part as ties,
+    and took 1.7x the masked vector's time at an SCC(4,2F) protocol shape
+    (N = 60, c = 300), where +inf took 0.9x.
     """
-    vec = np.asarray(sq_curvatures, dtype=np.float64)
-    if vec.ndim != 1 or vec.size == 0:
-        raise ValueError("curvature vector must be a nonempty 1-D array")
-    length = vec.size
+    work = np.array(curv, dtype=np.float64, order="C")
+    member = np.asarray(member, dtype=bool)
+    if member.shape != work.shape:
+        raise ValueError(f"member mask has shape {member.shape}, curvatures {work.shape}")
+    length = work.size - int(np.count_nonzero(member))
+    if length == 0:
+        raise ValueError("need at least one curvature outside the member entries")
+    work[member] = np.inf
+    kept = work.reshape(-1)
     candidates = []
-    kept = vec
     for q in range(1, subspace_dim + 2):
         i = min(max(math.floor(length / n_clusters**q + 0.5), 1), length) - 1
-        kept = np.partition(kept, i)[: i + 1]
+        kept.partition(i)
+        kept = kept[: i + 1]
         candidates.append(float(kept[i]))
     return candidates
 
@@ -273,6 +294,13 @@ def _positive_floor(curv: np.ndarray) -> float:
     return floor if np.isfinite(floor) else 1.0
 
 
+def _affinities(curv: np.ndarray, member: np.ndarray, sigmas: list[float]):
+    """Each candidate's affinity in turn, computed when it is read."""
+    for sigma_sq in sigmas:
+        # looked up in this module at each call, where perfbench's tracer wraps it
+        yield affinity_from_curvatures(curv, member, sigma_sq)
+
+
 def sweep_and_cluster(
     data, sample_sets, config: SccConfig, iteration: int = 0
 ) -> tuple[Partition, float, int, float]:
@@ -281,13 +309,20 @@ def sweep_and_cluster(
     Returns (partition, sigma_sq, q, ols_error); ties in the error keep the
     smallest q. ``data`` is used as-is (any projection must already have
     been applied).
+
+    Beside its inputs, a sweep holds at most the (N, c) curvature matrix,
+    its member mask, one more (N, c) float array and small temporaries:
+    the bandwidth selection's copy of the curvatures, then each candidate's
+    affinity in turn, which the spectral step overwrites and drops before
+    it reads the next. The curvature matrix and the mask are freed after
+    the last affinity, before the k-means batch.
     """
     X = as_data_matrix(data)
     d = config.subspace_dim
     k = config.n_clusters
 
     curv, member = curvature_matrix(X, sample_sets)
-    sigmas = sigma_candidates(curv[~member], d, k)
+    sigmas = sigma_candidates(curv, member, d, k)
     # exact fits give zero curvatures and duplicated points +inf ones;
     # either as sigma^2 would make the kernel unusable
     if not all(0.0 < s < math.inf for s in sigmas):
@@ -297,8 +332,11 @@ def sweep_and_cluster(
         seeding.derived_seed(config.seed, _STREAM_SPECTRAL, iteration, q)
         for q in range(1, len(sigmas) + 1)
     ]
-    # a generator: the spectral step reads one affinity at a time
-    affinities = (affinity_from_curvatures(curv, member, s) for s in sigmas)
+    # the generator holds the last references to curv and member, so both
+    # are freed once the spectral step has read the last affinity, before
+    # its k-means batch allocates
+    affinities = _affinities(curv, member, sigmas)
+    del curv, member
     partitions = spectral_cluster_factored(affinities, k, seeds, data=X, subspace_dim=d)
 
     best = None

@@ -11,7 +11,9 @@ full reorthogonalization and a deterministic start, run until their
 residuals are below 1e-8 (the dense ``eigh`` it replaced is its reference
 in ``tests/oracles.py``). The factored path takes several
 affinities (the bandwidth candidates of one sweep), embeds them one at a
-time and clusters all their embeddings in one k-means call.
+time, overwriting each factor with its normalized form and dropping it
+before it reads the next, and clusters all their embeddings in one k-means
+call.
 K-means takes a stack of embeddings, each with its own seed and generator,
 which draws the k-means++ start of every restart in turn. All restarts of
 all embeddings then run their Lloyd iterations as one batch, which
@@ -373,22 +375,24 @@ def _lanczos(G: np.ndarray, known: np.ndarray, count: int) -> tuple[np.ndarray, 
 def _factored_embedding(A: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvectors of B B^T for B = Deg^{-1/2} A, solved on B's smaller side.
 
-    Returns the (N, n_clusters) embedding, columns in ascending eigenvalue
-    order, and the zero-degree mask. The small side is G = B^T B when
-    N > c and B B^T otherwise, of size m = min(N, c). For nonnegative A its
-    top eigenvalue is 1, with eigenvector D^{1/2} 1 on the N side and
-    B^T D^{1/2} 1 = A^T 1 on the c side; the other top eigenpairs come from
-    ``_lanczos``. With N > c, u = B v / sqrt(lambda) lifts an eigenvector
-    to N rows. Each of the top n_clusters directions that B does not span
-    (lambda at round-off level, or missing because n_clusters > c) gets a
-    zero column, so rank-deficient affinities embed without NaN and
-    reproducibly.
+    B is written into A, which is left holding it: the call allocates no
+    second (N, c) array, and a caller that needs A afterwards passes a
+    copy. Returns the (N, n_clusters) embedding, columns in ascending
+    eigenvalue order, and the zero-degree mask. The small side is
+    G = B^T B when N > c and B B^T otherwise, of size m = min(N, c). For
+    nonnegative A its top eigenvalue is 1, with eigenvector D^{1/2} 1 on
+    the N side and B^T D^{1/2} 1 = A^T 1 on the c side; the other top
+    eigenpairs come from ``_lanczos``. With N > c, u = B v / sqrt(lambda)
+    lifts an eigenvector to N rows. Each of the top n_clusters directions
+    that B does not span (lambda at round-off level, or missing because
+    n_clusters > c) gets a zero column, so rank-deficient affinities embed
+    without NaN and reproducibly.
     """
     n, c = A.shape
     col_sums = A.sum(axis=0)
     deg = A @ col_sums
     zero_degree, inv_sqrt = _inverse_sqrt_degree(deg)
-    B = A * inv_sqrt[:, None]
+    B = np.multiply(A, inv_sqrt[:, None], out=A)
     small_side, top_vector = (B.T @ B, col_sums) if n > c else (B @ B.T, deg * inv_sqrt)
     m = small_side.shape[0]
     top = min(n_clusters, m)
@@ -419,13 +423,20 @@ def spectral_cluster_factored(
     """``spectral_cluster`` on A A^T for each affinity A, without forming the N x N matrix.
 
     ``affinities`` is an iterable of (N, c) affinity factors, one per seed
-    in ``seeds``; it is read one factor at a time, and each factor is
-    reduced to its (N, n_clusters) embedding before the next is read, so
-    storage stays O(N * c) however many there are. Affinities are
-    nonnegative, as the engine's are. Each embedding takes the top
-    eigenvectors of the min(N, c)-sized small side from the Lanczos solver
-    (``_lanczos``), at O(min(N, c)^2) per Krylov row once the small side is
-    formed. The embeddings then go through
+    in ``seeds``. It is read one factor at a time, and each factor is
+    consumed: read once, overwritten with its normalized form
+    Deg^{-1/2} A (see ``_factored_embedding``) and reduced to its
+    (N, n_clusters) embedding, and the call drops its references to it
+    before it reads the next. So the call adds one (N, c) array at most to
+    what the iterable holds, however many factors there are; a caller that
+    needs a factor afterwards passes a copy. A factor that is not a
+    writable float64 array is copied first, and only the copy changes. A
+    factor beyond the last seed raises ``ValueError`` before anything is
+    written to it.
+    Affinities are nonnegative, as the engine's are. Each embedding takes
+    the top eigenvectors of the min(N, c)-sized small side from the Lanczos
+    solver (``_lanczos``), at O(min(N, c)^2) per Krylov row once the small
+    side is formed. The embeddings then go through
     one stacked k-means call, and the result holds one partition per
     affinity, each what a call on that affinity alone gives. This is the
     engine's spectral path at every N. ``data`` and ``subspace_dim`` are
@@ -440,6 +451,8 @@ def spectral_cluster_factored(
         raise ValueError("data and subspace_dim re-attach zero-degree points together: give both or neither")
     embeddings = []
     for affinity in affinities:
+        if len(embeddings) == len(seeds):
+            raise ValueError(f"need one seed per affinity, got {len(seeds)} for more affinities")
         A = np.asarray(affinity, dtype=np.float64)
         if A.ndim != 2:
             raise ValueError("affinity must be a 2-D matrix")
@@ -447,7 +460,10 @@ def spectral_cluster_factored(
             raise ValueError(f"cannot split {A.shape[0]} points into {n_clusters} clusters")
         if embeddings and A.shape[0] != embeddings[0][0].shape[0]:
             raise ValueError("every affinity must have the same number of rows")
+        if not A.flags.writeable:
+            A = A.copy()
         embeddings.append(_factored_embedding(A, n_clusters))
+        del affinity, A  # the next factor is built without this one beside it
     if len(embeddings) != len(seeds) or not embeddings:
         raise ValueError(f"need one seed per affinity, got {len(seeds)} for {len(embeddings)}")
     return _embeddings_to_labels(embeddings, n_clusters, seeds, data, subspace_dim)

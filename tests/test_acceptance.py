@@ -109,7 +109,7 @@ def test_ideal_spectral_recovery():
                 if solver == "dense":
                     part = spectral_cluster(w, len(sizes), seed)
                 else:
-                    [part] = spectral_cluster_factored([factor], len(sizes), [seed])
+                    [part] = spectral_cluster_factored([factor.copy()], len(sizes), [seed])
                 if misclassification_rate(part, truth) != 0.0:
                     failures += 1
     ok = failures == 0

@@ -3,6 +3,7 @@ import itertools
 import math
 import sys
 import threading
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scc import engine
+from scc import curvature, engine, spectral
 from scc.curvature import curvature_matrix
 from scc.dataio import SynthSpec, synth_subspace_mixture
 from scc.engine import (
@@ -93,13 +94,13 @@ def test_sigma_candidate_positions():
     # length 1000, K=2, d=3: 1-based positions 500, 250, 125, 63 (round half up)
     vec = np.arange(1.0, 1001.0)
     for order in (vec, np.random.default_rng(1).permutation(vec)):  # input need not be sorted
-        cands = sigma_candidates(order, subspace_dim=3, n_clusters=2)
+        cands = sigma_candidates(order, np.zeros(order.shape, dtype=bool), subspace_dim=3, n_clusters=2)
         assert cands == [500.0, 250.0, 125.0, 63.0]
 
 
 def test_sigma_candidates_single_cluster_all_last():
     vec = np.sort(np.random.default_rng(2).random(60))
-    cands = sigma_candidates(vec, subspace_dim=2, n_clusters=1)
+    cands = sigma_candidates(vec, np.zeros(vec.shape, dtype=bool), subspace_dim=2, n_clusters=1)
     assert cands == [float(vec[-1])] * 3
 
 
@@ -108,7 +109,7 @@ def test_sigma_candidates_single_cluster_all_last():
 def test_sigma_candidates_nonincreasing(seed, k):
     rng = np.random.default_rng(seed)
     vec = np.sort(rng.random(120))
-    cands = sigma_candidates(vec, subspace_dim=3, n_clusters=k)
+    cands = sigma_candidates(vec, np.zeros(vec.shape, dtype=bool), subspace_dim=3, n_clusters=k)
     assert all(a >= b for a, b in zip(cands, cands[1:]))
 
 
@@ -124,15 +125,31 @@ def test_sigma_candidates_are_entries_of_the_fully_sorted_vector(k, d):
         vec[rng.random(length) < 0.2] = np.inf
         before = vec.copy()
         positions = [min(max(math.floor(length / k**q + 0.5), 1), length) for q in range(1, d + 2)]
-        assert sigma_candidates(vec, d, k) == [float(np.sort(before)[p - 1]) for p in positions]
+        expected = [float(np.sort(before)[p - 1]) for p in positions]
+        assert sigma_candidates(vec, np.zeros(length, dtype=bool), d, k) == expected
         assert np.array_equal(vec, before)
+        # the matrix form: the same entries outside the member mask of a
+        # 3-column matrix, with at least 4 member entries scattered among
+        # them that hold the same kinds of values, zeros and +inf included
+        size = 3 * (length // 3 + 2)
+        member = np.zeros(size, dtype=bool)
+        member[rng.choice(size, size - length, replace=False)] = True
+        curv = rng.integers(0, 4, size).astype(float)
+        curv[rng.random(size) < 0.2] = np.inf
+        curv[~member] = vec
+        curv, member = curv.reshape(-1, 3), member.reshape(-1, 3)
+        curv_before, member_before = curv.copy(), member.copy()
+        assert sigma_candidates(curv, member, d, k) == expected
+        assert np.array_equal(curv, curv_before) and np.array_equal(member, member_before)
 
 
 def test_sigma_candidates_validation():
     with pytest.raises(ValueError):
-        sigma_candidates(np.array([]), 1, 2)
-    with pytest.raises(ValueError):
-        sigma_candidates(np.ones((2, 3)), 1, 2)
+        sigma_candidates(np.array([]), np.array([], dtype=bool), 1, 2)
+    with pytest.raises(ValueError):  # every entry a member
+        sigma_candidates(np.ones((2, 3)), np.ones((2, 3), dtype=bool), 1, 2)
+    with pytest.raises(ValueError):  # a mask of another shape
+        sigma_candidates(np.ones((2, 3)), np.zeros((3, 2), dtype=bool), 1, 2)
 
 
 def _halves(n=40):
@@ -265,7 +282,7 @@ def test_sweep_replaces_a_zero_candidate_with_the_positive_floor():
     data = np.hstack([np.vstack([t, zeros, zeros]), np.vstack([zeros, t, np.full(20, 5.0)])])
     sets = np.array([[i, i + 1] for i in range(0, 40, 2)])
     curv, member = curvature_matrix(data, sets)
-    assert sigma_candidates(curv[~member], 1, 2)[1] == 0.0
+    assert sigma_candidates(curv, member, 1, 2)[1] == 0.0
     cfg = SccConfig(subspace_dim=1, n_clusters=2, n_sample_sets=20, seed=0)
     part, sigma_sq, _, err = sweep_and_cluster(data, sets, cfg)
     assert np.isfinite(sigma_sq) and sigma_sq > 0.0
@@ -284,7 +301,7 @@ def test_sweep_computes_the_positive_floor_only_for_a_zero_or_infinite_candidate
     data, _ = synth_subspace_mixture(SynthSpec(2, 15, subspace_dim=1, ambient_dim=3, noise_sigma=0.05, seed=3))
     sets = sample_initial(data.shape[1], 1, 30, np.random.default_rng(3))
     curv, member = curvature_matrix(data, sets)
-    candidates = sigma_candidates(curv[~member], 1, 2)
+    candidates = sigma_candidates(curv, member, 1, 2)
     assert all(0.0 < s < math.inf for s in candidates)
     sweep_and_cluster(data, sets, SccConfig(subspace_dim=1, n_clusters=2, n_sample_sets=30, seed=3))
     assert floors == [] and sigmas == candidates
@@ -295,11 +312,37 @@ def test_sweep_computes_the_positive_floor_only_for_a_zero_or_infinite_candidate
     data = np.hstack([np.vstack([t, zeros, zeros]), np.vstack([zeros, t, np.full(20, 5.0)])])
     sets = np.array([[i, i + 1] for i in range(0, 40, 2)])
     curv, member = curvature_matrix(data, sets)
-    candidates = sigma_candidates(curv[~member], 1, 2)
+    candidates = sigma_candidates(curv, member, 1, 2)
     sigmas.clear()
     sweep_and_cluster(data, sets, SccConfig(subspace_dim=1, n_clusters=2, n_sample_sets=20, seed=0))
     assert len(floors) == 1 and 0.0 < floors[0] < math.inf
     assert sigmas == [candidates[0], floors[0]]
+
+
+def test_sweep_peaks_at_the_curvature_matrix_plus_one_more_array(monkeypatch):
+    # perfbench large_n's shape: N = 6000, c = 300, D = 20, d = 3, K = 3, where
+    # an (N, c) float array (14.4 MB) outweighs the kernel's 8 MB workspace.
+    # Beside the curvature matrix and its member mask, a sweep holds one more
+    # (N, c) float array: the bandwidth selection's copy, then one affinity at
+    # a time; its k-means batch runs after the matrix and the mask are freed
+    data, _ = synth_subspace_mixture(SynthSpec(3, 2000, subspace_dim=3, ambient_dim=20, noise_sigma=0.01, seed=4))
+    config = SccConfig(subspace_dim=3, n_clusters=3, n_sample_sets=300, seed=4)
+    sets = sample_initial(data.shape[1], 3, 300, np.random.default_rng(4))
+    sweep_and_cluster(data, sets, config)  # first-call allocations of numpy and LAPACK
+    held = []  # the bytes the sweep holds as the k-means batch starts
+    kmeans = spectral.kmeans
+    monkeypatch.setattr(spectral, "kmeans", lambda *args: held.append(tracemalloc.get_traced_memory()[0]) or kmeans(*args))
+    tracemalloc.start()
+    try:
+        sweep_and_cluster(data, sets, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    entries = data.shape[1] * sets.shape[0]
+    curv_bytes, member_bytes = 8 * entries, entries
+    workspace = 2 * curvature._CHUNK_ENTRIES * 8
+    assert peak <= curv_bytes + member_bytes + 8 * entries + workspace + (1 << 20)
+    assert held[0] < curv_bytes
 
 
 def test_scc_run_bandwidth_is_finite_on_two_repeated_points():

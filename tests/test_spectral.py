@@ -62,10 +62,10 @@ def test_two_parallel_lines_recovered_over_seeds():
     data, truth = _parallel_lines(seed=42)
     sets = sample_initial(data.shape[1], 1, 80, np.random.default_rng(7))
     curv, member = curvature_matrix(data, sets)
-    sigma_sq = sigma_candidates(curv[~member], 1, 2)[1]
+    sigma_sq = sigma_candidates(curv, member, 1, 2)[1]
     aff = affinity_from_curvatures(curv, member, sigma_sq)
     for seed in range(20):
-        [part] = spectral_cluster_factored([aff], 2, [seed], data=data, subspace_dim=1)
+        [part] = spectral_cluster_factored([aff.copy()], 2, [seed], data=data, subspace_dim=1)
         assert misclassification_rate(part, truth) == 0.0
 
 
@@ -84,7 +84,8 @@ def test_spectral_deterministic():
     a = spectral_cluster(w, 3, seed=11)
     b = spectral_cluster(w, 3, seed=11)
     assert np.array_equal(a.labels, b.labels)
-    [c] = spectral_cluster_factored([aff], 3, [11])
+    [c] = spectral_cluster_factored([aff.copy()], 3, [11])
+    aff.flags.writeable = False  # a read-only factor is copied, not overwritten
     [d] = spectral_cluster_factored([aff], 3, [11])
     assert np.array_equal(c.labels, d.labels)
 
@@ -104,7 +105,7 @@ def test_spectral_invariant_under_point_permutation():
     # the factored path: block indicators plus a 0.1 column give the same
     # blocks and background, with 1.01 on the diagonal
     aff = np.hstack([np.eye(3)[labels], np.full((sum(sizes), 1), 0.1)])
-    [base] = spectral_cluster_factored([aff], 3, [2])
+    [base] = spectral_cluster_factored([aff.copy()], 3, [2])
     [permuted] = spectral_cluster_factored([aff[perm]], 3, [2])
     assert misclassification_rate(
         Partition(permuted.labels, 3), Partition(base.labels[perm], 3)
@@ -118,7 +119,7 @@ def test_spectral_invariant_under_scaling():
     base = spectral_cluster(w, 2, seed=4)
     scaled = spectral_cluster(7.3 * w, 2, seed=4)
     assert np.array_equal(base.labels, scaled.labels)
-    [base] = spectral_cluster_factored([aff], 2, [4])
+    [base] = spectral_cluster_factored([aff.copy()], 2, [4])
     [scaled] = spectral_cluster_factored([7.3 * aff], 2, [4])
     assert np.array_equal(base.labels, scaled.labels)
 
@@ -133,7 +134,7 @@ def test_zero_degree_points_attach_to_nearest_subspace():
     assert (w.sum(axis=1)[8:10] == 0.0).all()
     # k-means alone puts their zero embedding rows with line two on seed 3
     for seed in range(5):
-        [part] = spectral_cluster_factored([aff], 2, [seed], data=data, subspace_dim=1)
+        [part] = spectral_cluster_factored([aff.copy()], 2, [seed], data=data, subspace_dim=1)
         # points 8 and 9 have no affinity at all but sit on line one
         assert part.labels[8] == part.labels[0]
         assert part.labels[9] == part.labels[0]
@@ -144,12 +145,12 @@ def test_cluster_of_only_zero_degree_points_fits_its_own_members():
     aff = np.zeros((20, 5))
     aff[:10, :] = 1.0  # line one; no point of line two has any affinity
     for seed in range(5):
-        [plain] = spectral_cluster_factored([aff], 2, [seed])
+        [plain] = spectral_cluster_factored([aff.copy()], 2, [seed])
         # k-means puts the zero rows of line two in a cluster of their own
         assert misclassification_rate(plain, truth) == 0.0
         # that cluster has no positive-degree member, so its subspace is fitted
         # to its zero-degree points, and they stay there
-        [part] = spectral_cluster_factored([aff], 2, [seed], data=data, subspace_dim=1)
+        [part] = spectral_cluster_factored([aff.copy()], 2, [seed], data=data, subspace_dim=1)
         assert misclassification_rate(part, truth) == 0.0
 
 
@@ -173,6 +174,17 @@ def test_factored_reattachment_needs_data_and_subspace_dim_together():
         spectral_cluster_factored([aff], 2, [0], subspace_dim=1)
 
 
+def test_factored_raises_for_a_factor_without_a_seed_before_reading_it():
+    # factors are overwritten as they are embedded: a call that is going to
+    # fail must do so before it has consumed a factor it cannot cluster
+    rng = np.random.default_rng(33)
+    a, b = rng.random((20, 6)), rng.random((20, 6))
+    before = b.copy()
+    with pytest.raises(ValueError, match="one seed per affinity"):
+        spectral_cluster_factored([a, b], 2, [0])
+    assert np.array_equal(b, before)
+
+
 def test_factored_matches_dense():
     rng = np.random.default_rng(12)
     # N > c solves on the c side, N <= c on the N side
@@ -183,7 +195,7 @@ def test_factored_matches_dense():
         assert misclassification_rate(factored, dense) == 0.0
     # several affinities in one call: each gets the partition a call of its own gives
     affs = [rng.random((30, 12)) for _ in range(3)]
-    together = spectral_cluster_factored(iter(affs), 3, [1, 2, 3])
+    together = spectral_cluster_factored(iter([aff.copy() for aff in affs]), 3, [1, 2, 3])
     assert len(together) == 3
     for aff, seed, part in zip(affs, [1, 2, 3], together):
         assert np.array_equal(part.labels, spectral_cluster_factored([aff], 3, [seed])[0].labels)
@@ -194,18 +206,22 @@ def test_factored_matches_dense():
         rng.random((30, 2)),
     )
     for aff in degenerate:
-        vecs, zero_degree = _factored_embedding(aff, 3)
+        vecs, zero_degree = _factored_embedding(aff.copy(), 3)
         assert vecs.shape == (aff.shape[0], 3) and not zero_degree.any()
         assert np.isfinite(vecs).all()
         assert not vecs[:, 0].any()  # the direction B does not span embeds as zeros
-        [first] = spectral_cluster_factored([aff], 3, [8])
+        [first] = spectral_cluster_factored([aff.copy()], 3, [8])
         [again] = spectral_cluster_factored(iter([aff]), 3, [8])
         assert first.n_clusters == 3 and np.array_equal(first.labels, again.labels)
 
 
 def _assert_embeds_like_eigh(aff, k):
-    """The solver's embedding spans the eigh oracle's, with zero columns in the same places."""
-    got, _ = _factored_embedding(aff, k)
+    """The solver's embedding spans the eigh oracle's, with zero columns in the same places.
+
+    The solver gets a copy of ``aff``, which it overwrites, so the oracle
+    and the caller still read the original.
+    """
+    got, _ = _factored_embedding(aff.copy(), k)
     want = factored_embedding_eigh(aff, k)
     spanned = want.any(axis=0)
     assert np.array_equal(got.any(axis=0), spanned)
@@ -259,7 +275,7 @@ def _sweep_affinities(n, c, seed):
     )
     sets = sample_initial(data.shape[1], 2, c, np.random.default_rng(seed))
     curv, member = curvature_matrix(data, sets)
-    return [affinity_from_curvatures(curv, member, s) for s in sigma_candidates(curv[~member], 2, 3) if s > 0.0]
+    return [affinity_from_curvatures(curv, member, s) for s in sigma_candidates(curv, member, 2, 3) if s > 0.0]
 
 
 @pytest.mark.parametrize("n, c", [(60, 150), (400, 200), (360, 300)])
@@ -321,7 +337,7 @@ def test_dense_solver_gives_zero_degree_points_zero_rows(monkeypatch):
 
 def test_solver_repeats_itself_byte_for_byte():
     for aff in _sweep_affinities(400, 200, seed=7)[:2] + [_block_affinity(np.random.default_rng(32), 15, 20)]:
-        first, _ = _factored_embedding(aff, 3)
+        first, _ = _factored_embedding(aff.copy(), 3)
         again, _ = _factored_embedding(aff.copy(), 3)
         assert first.tobytes() == again.tobytes()
 
