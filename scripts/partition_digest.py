@@ -11,8 +11,9 @@ computed (the bytes of each call's curvatures and member mask, in call
 order), its misclassification in percent and the number of iterations the
 run made.
 A `protocol` case is one `scc bench` cell: a sequence under one of the
-workload's regimes, run for each of its repeats with the trial seeds
-`scc bench --seed` gives; its digests cover the labels and kernel outputs
+workload's regimes, as ``scc.cli.bench_cells`` builds it, run for each of
+its repeats with the configs ``scc.cli.trial_configs`` seeds, as
+`scc bench --seed` does; its digests cover the labels and kernel outputs
 of every repeat, its error is their mean, as records.csv holds it, and its
 iteration counts are listed per repeat, comma-separated. The mean
 misclassification of each regime (workload, d and projection) and of all
@@ -33,7 +34,6 @@ for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_
     os.environ[var] = "1"
 
 import argparse
-import dataclasses
 import hashlib
 import statistics
 import sys
@@ -46,26 +46,10 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np
 
 import scc.engine
-from scc import load_sequence, seeding
-from scc.cli import _parse_regime
-from scc.engine import SccConfig, scc_run
+from scc.cli import bench_cells, trial_configs
+from scc.engine import scc_run
 from scc.evaluation import misclassification_rate
 from workloads import ITERATIONS, PROTOCOL_REGIMES, PROTOCOL_REPEATS, load_cases, make_inputs
-
-
-def protocol_cases(seed: int, inputs: Path):
-    """(name, regime, record, configs) of each `protocol` cell, one config per repeat, as `scc bench` makes them."""
-    for path in sorted(inputs.glob("*.seq")):
-        record = load_sequence(path)
-        for text in PROTOCOL_REGIMES:
-            d, projection = _parse_regime(text)
-            config = SccConfig(subspace_dim=d, n_clusters=record.truth_labels.n_clusters,
-                               max_iterations=ITERATIONS, projection=projection)
-            configs = [
-                dataclasses.replace(config, seed=seeding.stable_text_seed(f"{seed}:{record.sequence_id}:{trial}"))
-                for trial in range(PROTOCOL_REPEATS)
-            ]
-            yield f"{record.sequence_id}:SCC({d},{projection})", f"protocol SCC({d},{projection})", record, configs
 
 
 def digest(labelings) -> str:
@@ -113,13 +97,15 @@ def main() -> int:
                 print(f"{case.name} {labels_digest} {kernel.take()} {error:.4f} {result.iterations_run}", flush=True)
         inputs = Path(tmp) / "protocol"
         make_inputs("protocol", args.seed, inputs)
-        for name, regime, record, configs in protocol_cases(args.seed, inputs):
+        for record, cell in bench_cells(inputs, PROTOCOL_REGIMES, None, ITERATIONS):
+            configs = trial_configs(record, cell, PROTOCOL_REPEATS, args.seed)
             results = [scc_run(record.trajectories, config) for config in configs]
+            method = f"SCC({cell.subspace_dim},{cell.projection})"
             labels_digest = digest([r.partition.labels for r in results])
             error = statistics.fmean(misclassification_rate(r.partition, record.truth_labels) for r in results)
-            errors.setdefault(regime, []).append(error)
+            errors.setdefault(f"protocol {method}", []).append(error)
             iterations = ",".join(str(r.iterations_run) for r in results)
-            print(f"{name} {labels_digest} {kernel.take()} {error:.4f} {iterations}", flush=True)
+            print(f"{record.sequence_id}:{method} {labels_digest} {kernel.take()} {error:.4f} {iterations}", flush=True)
     for regime, values in errors.items():
         print(f"mean {regime}: {statistics.fmean(values):.4f}% over {len(values)} cases")
     every = [value for values in errors.values() for value in values]

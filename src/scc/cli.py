@@ -4,6 +4,8 @@ run the benchmark protocol over a directory of sequences, and emit reports.
 All commands are deterministic for a fixed --seed (default 0). Wall-clock
 timings are diagnostics only: they go to stderr, to the cluster command's
 JSON-lines record, and to bench's timings.csv, never into the result files.
+A command returns only on success; every failure is an exception, which
+``main`` maps to an exit code.
 """
 
 from __future__ import annotations
@@ -30,9 +32,8 @@ from .dataio import (
     synth_affine_motion,
     synth_subspace_mixture,
 )
-from .engine import SccConfig, _normalize_projection, scc_run
+from .engine import SccConfig, _normalize_projection, check_shape, scc_run
 from .evaluation import (
-    AggregateRow,
     EvalRecord,
     aggregate,
     error_histogram,
@@ -91,27 +92,17 @@ def _projection_arg(text: str) -> str:
 # ---------------------------------------------------------------- cluster
 
 
-def cmd_cluster(args) -> int:
+def cmd_cluster(args) -> None:
     record = load_sequence(args.input)
-    config = SccConfig(
-        subspace_dim=args.d,
-        n_clusters=args.K,
-        n_sample_sets=args.c,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        projection=args.proj,
-    )
+    config = SccConfig(subspace_dim=args.d, n_clusters=args.K, n_sample_sets=args.c,
+                       max_iterations=args.max_iterations, seed=args.seed, projection=args.proj)
     start = time.perf_counter()
     result = scc_run(record.trajectories, config)
     elapsed = time.perf_counter() - start
 
     labels_path = Path(args.out) if args.out else Path(f"{record.sequence_id}.labels.txt")
-    labels_path.write_text(
-        " ".join(str(int(v)) for v in result.partition.labels) + "\n", encoding="utf-8"
-    )
-    diag_path = Path(args.diagnostics) if args.diagnostics else labels_path.with_suffix(
-        labels_path.suffix + ".jsonl"
-    )
+    labels_path.write_text(" ".join(str(int(v)) for v in result.partition.labels) + "\n", encoding="utf-8")
+    diag_path = labels_path.with_suffix(labels_path.suffix + ".jsonl")
     diag = {
         "sequence": record.sequence_id,
         "n_points": record.n_points,
@@ -130,13 +121,12 @@ def cmd_cluster(args) -> int:
     }
     diag_path.write_text(json.dumps(diag, sort_keys=True) + "\n", encoding="utf-8")
     _log(f"{record.sequence_id}: wrote {labels_path} ({elapsed:.2f} s)")
-    return 0
 
 
 # ---------------------------------------------------------------- synth
 
 
-def cmd_synth(args) -> int:
+def cmd_synth(args) -> None:
     if args.K < 1:
         raise ValueError("--K must be at least 1")
     if args.N % args.K != 0:
@@ -161,52 +151,31 @@ def cmd_synth(args) -> int:
     out.parent.mkdir(parents=True, exist_ok=True)
     save_sequence(out, record)
     _log(f"wrote {out}")
-    return 0
 
 
 # ---------------------------------------------------------------- bench
 
 
-def _bench_one(payload) -> tuple[str, str, float, float]:
-    """One (sequence, regime) cell: mean error and mean runtime over repeats."""
-    record, config, repeats, root_seed = payload
-    errors = []
-    elapsed = []
-    for trial in range(repeats):
-        trial_seed = seeding.stable_text_seed(f"{root_seed}:{record.sequence_id}:{trial}")
-        start = time.perf_counter()
-        result = scc_run(record.trajectories, dataclasses.replace(config, seed=trial_seed))
-        elapsed.append(time.perf_counter() - start)
-        errors.append(misclassification_rate(result.partition, record.truth_labels))
-    method = _regime_label(config.subspace_dim, config.projection)
-    return record.sequence_id, method, float(np.mean(errors)), float(np.mean(elapsed))
+def bench_cells(data_dir, regime_texts, n_sample_sets, max_iterations) -> list[tuple[SequenceRecord, SccConfig]]:
+    """The (record, config) of every `scc bench` cell, file by file in name order, then regime by regime.
 
-
-def _cell_cost(task) -> int:
-    """A cell's relative cost: points x sampled subsets x working dimension."""
-    record, config = task[:2]
-    return record.n_points * config.sample_set_count * config.projection_dim(record.trajectories.shape[0])
-
-
-def cmd_bench(args) -> int:
-    if args.repeats < 1:
-        raise ValueError("--repeats must be at least 1")
-    if args.workers < 1:
-        raise ValueError("--workers must be at least 1")
-    data_dir = Path(args.data)
+    A ``.seq`` file that does not parse or has no labels is skipped with a
+    warning. Raises FileNotFoundError when there is no ``.seq`` file, and
+    ValueError on a repeated regime, a shared sequence id, no labeled
+    sequence, or a cell that ``check_shape`` rejects: all before any run.
+    """
+    data_dir = Path(data_dir)
     paths = sorted(data_dir.glob("*.seq"))
     if not paths:
-        _log(f"error: no .seq files found under {data_dir}")
-        return EXIT_INTERNAL
-
+        raise FileNotFoundError(f"no .seq files found under {data_dir}")
     regimes = []
-    for text in args.regimes or DEFAULT_REGIMES:
+    for text in regime_texts:
         regime = _parse_regime(text)
         if regime in regimes:
             # aliases name one regime: it would run twice and key two records alike
             raise ValueError(f"regime {text!r} repeats {_regime_text(*regime)}")
         regimes.append(regime)
-    sequences: list[SequenceRecord] = []
+    cells = []
     id_paths: dict[str, Path] = {}
     for path in paths:
         try:
@@ -221,23 +190,55 @@ def cmd_bench(args) -> int:
         first = id_paths.setdefault(record.sequence_id, path)
         if first != path:
             raise ValueError(f"{first.name} and {path.name} share the sequence id {record.sequence_id!r}")
-        sequences.append(record)
-    if not sequences:
-        _log("error: no labeled sequences to benchmark")
-        return EXIT_INTERNAL
-
-    tasks = []
-    for record in sequences:
         for dim, proj in regimes:
-            # built here, so a bad --c fails before any worker starts
-            config = SccConfig(
-                subspace_dim=dim,
-                n_clusters=record.truth_labels.n_clusters,
-                n_sample_sets=args.c,
-                max_iterations=args.max_iterations,
-                projection=proj,
-            )
-            tasks.append((record, config, args.repeats, args.seed))
+            config = SccConfig(subspace_dim=dim, n_clusters=record.truth_labels.n_clusters,
+                               n_sample_sets=n_sample_sets, max_iterations=max_iterations, projection=proj)
+            try:
+                check_shape(config, record.trajectories.shape)
+            except ValueError as exc:
+                raise ValueError(f"{path.name} under {_regime_text(dim, proj)}: {exc}") from None
+            cells.append((record, config))
+    if not cells:
+        raise ValueError(f"no labeled sequences to benchmark under {data_dir}")
+    return cells
+
+
+def trial_configs(record: SequenceRecord, config: SccConfig, repeats: int, root_seed: int) -> list[SccConfig]:
+    """The config of each trial of a cell, seeded from (root seed, sequence id, trial index)."""
+    return [
+        dataclasses.replace(config, seed=seeding.stable_text_seed(f"{root_seed}:{record.sequence_id}:{trial}"))
+        for trial in range(repeats)
+    ]
+
+
+def _bench_one(payload) -> tuple[str, str, float, float]:
+    """One (sequence, regime) cell: mean error and mean runtime over repeats."""
+    record, config, repeats, root_seed = payload
+    errors, elapsed = [], []
+    for trial_config in trial_configs(record, config, repeats, root_seed):
+        start = time.perf_counter()
+        result = scc_run(record.trajectories, trial_config)
+        elapsed.append(time.perf_counter() - start)
+        errors.append(misclassification_rate(result.partition, record.truth_labels))
+    method = _regime_label(config.subspace_dim, config.projection)
+    return record.sequence_id, method, float(np.mean(errors)), float(np.mean(elapsed))
+
+
+def _cell_cost(task) -> int:
+    """A cell's relative cost: points x sampled subsets x working dimension."""
+    record, config = task[:2]
+    return record.n_points * config.sample_set_count * config.projection_dim(record.trajectories.shape[0])
+
+
+def cmd_bench(args) -> None:
+    if args.repeats < 1:
+        raise ValueError("--repeats must be at least 1")
+    if args.workers < 1:
+        raise ValueError("--workers must be at least 1")
+    data_dir = Path(args.data)
+    # built before any worker starts, so a bad --c or an unrunnable cell fails first
+    cells = bench_cells(data_dir, args.regimes or DEFAULT_REGIMES, args.c, args.max_iterations)
+    tasks = [(record, config, args.repeats, args.seed) for record, config in cells]
     # longest cells first, so the pool does not end on one heavy cell; the
     # outputs are sorted below, so the order shows only in the wall time
     tasks.sort(key=_cell_cost, reverse=True)
@@ -247,7 +248,7 @@ def cmd_bench(args) -> int:
     else:
         outcomes = [_bench_one(task) for task in tasks]
 
-    meta = {rec.sequence_id: rec for rec in sequences}
+    meta = {record.sequence_id: record for record, _ in cells}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     records_path = out_dir / "records.csv"
@@ -257,9 +258,8 @@ def cmd_bench(args) -> int:
         for seq_id, method, mean_error, mean_time in sorted(outcomes, key=lambda o: (o[1], o[0])):
             record = meta[seq_id]
             # 17 significant digits round-trip exactly, so `scc report` rebuilds the same tables
-            writer.writerow(
-                [method, seq_id, record.category, record.truth_labels.n_clusters, f"{mean_error:.17g}", args.repeats]
-            )
+            writer.writerow([method, seq_id, record.category, record.truth_labels.n_clusters,
+                             f"{mean_error:.17g}", args.repeats])
             _log(f"{seq_id} [{method}]: mean error {mean_error:.3f}% ({mean_time:.2f} s/run)")
     emitted = _emit_reports(out_dir, records_path, args.include_reference) + [records_path.name]
 
@@ -275,7 +275,8 @@ def cmd_bench(args) -> int:
         "output_dir": str(out_dir),
         "repeats": args.repeats,
         "seed": args.seed,
-        "regimes": [_regime_text(d, p) for d, p in regimes],
+        # the first file's cells name every regime, in order
+        "regimes": list(dict.fromkeys(_regime_text(config.subspace_dim, config.projection) for _, config in cells)),
         "n_sample_sets": args.c,
         "files": sorted(emitted),
     }
@@ -283,14 +284,13 @@ def cmd_bench(args) -> int:
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
     )
     _log(f"wrote {out_dir}/manifest.json")
-    return 0
 
 
 def _emit_reports(out_dir: Path, records_path: Path, include_reference: bool) -> list[str]:
     """Write report.csv, report.txt and the histograms from a records.csv.
 
-    Returns the names written; none, and no directory, when the file holds
-    no records.
+    Returns the names written. Raises SequenceParseError, before any
+    directory is made, when the file holds no records.
     """
     by_method: dict[str, list[EvalRecord]] = {}
     with records_path.open("r", encoding="utf-8", newline="") as handle:
@@ -318,16 +318,16 @@ def _emit_reports(out_dir: Path, records_path: Path, include_reference: bool) ->
             except ValueError as exc:
                 raise SequenceParseError(records_path, reader.line_num, f"bad record: {exc}") from None
             by_method.setdefault(row["method"], []).append(record)
-    if not by_method:
-        return []
+        if not by_method:
+            raise SequenceParseError(records_path, reader.line_num, "no records after the header")
     out_dir.mkdir(parents=True, exist_ok=True)
     emitted: list[str] = []
     motions_values = sorted({r.n_motions for records in by_method.values() for r in records})
 
-    rows_by_method: dict[str, list[AggregateRow]] = {}
-    for method in sorted(by_method):
-        records = by_method[method]
-        rows_by_method[method] = [row for motions in motions_values for row in aggregate(records, motions)]
+    rows_by_method = {
+        method: [row for motions in motions_values for row in aggregate(by_method[method], motions)]
+        for method in sorted(by_method)
+    }
     if include_reference:
         # the published table names methods as bench does; its rows join apart from the measured ones
         for motions in motions_values:
@@ -363,13 +363,10 @@ def _emit_reports(out_dir: Path, records_path: Path, include_reference: bool) ->
 # ---------------------------------------------------------------- report
 
 
-def cmd_report(args) -> int:
+def cmd_report(args) -> None:
     out_dir = Path(args.out)
-    if not _emit_reports(out_dir, Path(args.records), args.include_reference):
-        _log("error: no records found")
-        return EXIT_INTERNAL
+    _emit_reports(out_dir, Path(args.records), args.include_reference)
     _log(f"wrote report under {out_dir}")
-    return 0
 
 
 # ---------------------------------------------------------------- parser
@@ -393,8 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     cluster.add_argument("--c", type=int, default=None, help="sampled subsets (default 100*K)")
     cluster.add_argument("--seed", type=int, default=DEFAULT_SEED)
     cluster.add_argument("--max-iterations", type=int, default=None)
-    cluster.add_argument("--out", default=None, help="labels output path")
-    cluster.add_argument("--diagnostics", default=None, help="JSON-lines diagnostics path")
+    cluster.add_argument("--out", default=None, help="labels output path; diagnostics go to <out>.jsonl")
     cluster.set_defaults(func=cmd_cluster)
 
     synth = sub.add_parser("synth", help="generate a synthetic labeled .seq file")
@@ -438,7 +434,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        args.func(args)
+        return 0
     except (SequenceParseError, OSError) as exc:
         _log(f"error: {exc}")
         return EXIT_PARSE

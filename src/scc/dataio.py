@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import seeding
-from .geometry import Partition, as_data_matrix
+from .geometry import Partition, as_data_matrix, total_ols_error
 
 __all__ = [
     "SequenceParseError",
@@ -349,9 +349,9 @@ def _check_affine_containment(trajectories: np.ndarray, labels: Partition) -> No
     """Every noiseless body must fit a 3-dim affine subspace to 1e-9 relative."""
     for k in range(labels.n_clusters):
         block = trajectories[:, labels.members(k)]
-        singular = np.linalg.svd(block - block.mean(axis=1, keepdims=True), compute_uv=False)
-        residual = float(np.sum(singular[3:] ** 2))
-        scatter = float(np.sum(singular**2))
+        whole = Partition(np.zeros(block.shape[1], dtype=np.int64), 1)
+        residual = total_ols_error(block, whole, 3)
+        scatter = total_ols_error(block, whole, 0)
         if residual > 1e-9 * scatter:
             raise RuntimeError(
                 f"generated body {k} is not contained in a 3-dim affine subspace "

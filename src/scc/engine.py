@@ -54,6 +54,7 @@ from .spectral import spectral_cluster  # noqa: F401
 __all__ = [
     "SccConfig",
     "SccResult",
+    "check_shape",
     "sample_initial",
     "sigma_candidates",
     "sweep_and_cluster",
@@ -308,7 +309,8 @@ def sweep_and_cluster(
 
     Returns (partition, sigma_sq, q, ols_error); ties in the error keep the
     smallest q. ``data`` is used as-is (any projection must already have
-    been applied).
+    been applied). Raises ValueError unless every sample set holds d+1
+    points.
 
     Beside its inputs, a sweep holds at most the (N, c) curvature matrix,
     its member mask, one more (N, c) float array and small temporaries:
@@ -320,6 +322,9 @@ def sweep_and_cluster(
     X = as_data_matrix(data)
     d = config.subspace_dim
     k = config.n_clusters
+    # the bandwidth positions round(L / K^q), q = 1..d+1, assume flats spanned by d+1 points
+    if np.shape(sample_sets)[1:] != (d + 1,):
+        raise ValueError(f"sample sets must hold d+1 = {d + 1} points each, got shape {np.shape(sample_sets)}")
 
     curv, member = curvature_matrix(X, sample_sets)
     sigmas = sigma_candidates(curv, member, d, k)
@@ -392,28 +397,39 @@ def _one_blas_thread():
                 set_threads(count)
 
 
+def check_shape(config: SccConfig, shape) -> int:
+    """The working dimension of a run of ``config`` on (D, N) data of this shape.
+
+    Raises ValueError when no run can be made on such data: N below d+2,
+    fewer points than clusters, or d above the working dimension.
+    """
+    ambient, n = shape
+    d = config.subspace_dim
+    if n < d + 2:
+        raise ValueError(f"need at least d+2 = {d + 2} points, got {n}")
+    if n < config.n_clusters:
+        raise ValueError("cannot ask for more clusters than points")
+    work_dim = config.projection_dim(ambient)
+    if d > work_dim:
+        raise ValueError(f"subspace_dim {d} exceeds the working dimension {work_dim}")
+    return work_dim
+
+
 def scc_run(data, config: SccConfig) -> SccResult:
     """Run the full clustering pipeline on a (D, N) data matrix.
 
     The run computes on one OpenBLAS thread and then restores the caller's
     counts: a multi-threaded OpenBLAS rounds its sums differently, which can
     tip a near-tie into another partition. Concurrent calls run one at a time.
-    Raises ValueError when every point of the working data (the data after
-    the projection) coincides, since no partition of it means anything.
+    Raises ValueError when ``check_shape`` rejects the data's shape, and
+    when every point of the working data (the data after the projection)
+    coincides, since no partition of it means anything.
     """
     with _one_blas_thread():
         X = as_data_matrix(data)
         n = X.shape[1]
         d = config.subspace_dim
-        if n < d + 2:
-            raise ValueError(f"need at least d+2 = {d + 2} points, got {n}")
-        if n < config.n_clusters:
-            raise ValueError("cannot ask for more clusters than points")
-        work_dim = config.projection_dim(X.shape[0])
-        if d > work_dim:
-            raise ValueError(f"subspace_dim {d} exceeds the working dimension {work_dim}")
-
-        work = project_pca(X, work_dim)
+        work = project_pca(X, check_shape(config, X.shape))
         if (work == work[:, :1]).all():
             raise ValueError("every point of the working data coincides: there is nothing to cluster")
 

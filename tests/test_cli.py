@@ -458,10 +458,54 @@ def test_cluster_labels_do_not_depend_on_blas_threads(tmp_path):
     assert len(labels) == 1
 
 
-def test_bench_empty_directory_fails(tmp_path):
+def test_bench_empty_directory_fails(tmp_path, capsys):
+    # no .seq file to read is a file error
     empty = tmp_path / "empty"
     empty.mkdir()
-    assert main(["bench", "--data", str(empty), "--out", str(tmp_path / "o")]) == 1
+    assert main(["bench", "--data", str(empty), "--out", str(tmp_path / "o")]) == 2
+    assert "no .seq files found" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_bench_without_a_labeled_sequence_has_nothing_to_benchmark(tmp_path, capsys):
+    data_dir = tmp_path / "suite"
+    data_dir.mkdir()
+    for name in ("a.seq", "b.seq"):
+        seq = _synth(data_dir, name)
+        lines = seq.read_text().splitlines()
+        seq.write_text("\n".join([lines[0].replace("K=2", "K=0")] + lines[2:]) + "\n")  # no LABELS row
+    assert _run_bench(data_dir, tmp_path / "out") == 3
+    assert "no labeled sequences to benchmark" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_bench_rejects_an_unrunnable_cell_before_any_run(tmp_path, monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("scc.cli.scc_run", no_run)
+    monkeypatch.setattr("scc.cli.ProcessPoolExecutor", no_run)
+    data_dir = tmp_path / "suite"
+    data_dir.mkdir()
+    _synth(data_dir, "a.seq", K=2, N=40, D=6, d=2)
+    # 6 points, and SCC (5,2F) needs d+2 = 7
+    _synth(data_dir, "b.seq", K=2, N=6, D=6, d=1)
+    for workers in ("1", "2"):
+        out_dir = tmp_path / f"out-{workers}"
+        capsys.readouterr()
+        args = ["bench", "--data", str(data_dir), "--out", str(out_dir), "--repeats", "2",
+                "--regimes", "5,2F", "--c", "20", "--workers", workers]
+        assert main(args) == 3
+        assert "b.seq under 5,2F: need at least d+2 = 7 points, got 6" in capsys.readouterr().err
+        assert not out_dir.exists()
+
+
+def test_report_rejects_a_records_file_without_records(tmp_path, capsys):
+    records = tmp_path / "records.csv"
+    records.write_text(_RECORDS_HEADER + "\n")
+    assert main(["report", "--records", str(records), "--out", str(tmp_path / "out")]) == 2
+    assert "records.csv:1: no records after the header" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_report_regenerates_from_records(tmp_path):

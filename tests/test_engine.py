@@ -273,6 +273,18 @@ def test_sweep_tie_breaks_to_smallest_q():
     assert q == 1
 
 
+def test_sweep_rejects_sample_sets_of_another_width_than_d_plus_one():
+    # the bandwidth positions round(L / K^q), q = 1..d+1, assume (d+1)-point sets
+    data, _ = synth_subspace_mixture(SynthSpec(2, 20, subspace_dim=2, ambient_dim=4, noise_sigma=0.02, seed=7))
+    cfg = SccConfig(subspace_dim=2, n_clusters=2, n_sample_sets=30, seed=7)
+    for width in (1, 5):
+        sets = sample_initial(data.shape[1], width - 1, 30, np.random.default_rng(7))
+        assert sets.shape == (30, width)
+        with pytest.raises(ValueError, match=r"d\+1 = 3 points"):
+            sweep_and_cluster(data, sets, cfg)
+    sweep_and_cluster(data, sample_initial(data.shape[1], 2, 30, np.random.default_rng(7)), cfg)
+
+
 def test_sweep_replaces_a_zero_candidate_with_the_positive_floor():
     # two exactly representable lines, each subset an adjacent pair on one line:
     # 360 of the 760 curvatures are exactly 0, so candidate q=2 is sigma^2 = 0,

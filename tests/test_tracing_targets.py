@@ -20,8 +20,9 @@ from pathlib import Path
 import numpy as np
 
 import scc
+import scc.cli
 from scc import engine
-from scc.dataio import SynthSpec, synth_subspace_mixture
+from scc.dataio import SequenceRecord, SynthSpec, save_sequence, synth_subspace_mixture
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -62,6 +63,27 @@ def test_traced_sweep_records_each_affinity_inside_its_spectral_call():
     assert names["curvature.affinity"] == config.subspace_dim + 1
     [factored] = [span for span in tracer.spans if span["name"] == "spectral.factored"]
     assert all(span["parent"] == factored["id"] for span in tracer.spans if span["name"] == "curvature.affinity")
+
+
+def test_traced_bench_records_each_load_cell_and_run(tmp_path):
+    # perfbench's dataio.loads_per_seq and cli.* metrics count these spans, so a
+    # bench that loaded a file twice or ran a trial outside its cell would skew them
+    tracing = _tracing()
+    data_dir = tmp_path / "data"
+    data_dir.mkdir()
+    for i in range(2):
+        data, truth = synth_subspace_mixture(SynthSpec(2, 10, subspace_dim=1, ambient_dim=4, noise_sigma=0.05, seed=i))
+        save_sequence(data_dir / f"s{i}.seq", SequenceRecord(f"s{i}", data, truth))
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        code = scc.cli.main(["bench", "--data", str(data_dir), "--out", str(tmp_path / "out"), "--repeats", "2",
+                             "--regimes", "1,2F", "--c", "20", "--max-iterations", "2", "--workers", "1"])
+    assert code == 0
+    names = Counter(span["name"] for span in tracer.spans)
+    assert names["dataio.load"] == 2 and names["cli.cell"] == 2 and names["run"] == 4
+    cells = [span["id"] for span in tracer.spans if span["name"] == "cli.cell"]
+    runs = [span for span in tracer.spans if span["name"] == "run"]
+    assert Counter(run["parent"] for run in runs) == Counter(dict.fromkeys(cells, 2))
 
 
 def test_every_exported_name_resolves():
