@@ -9,11 +9,11 @@ table, and per-histogram CSVs of (bin_left, bin_right, count) over one fixed gri
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .geometry import Partition
 
@@ -66,7 +66,8 @@ def misclassification_rate(predicted: Partition, truth: Partition) -> float:
 
     When the cluster counts differ the matching runs over the larger label
     set, so every point of an unmatched cluster counts as an error. The
-    matching is the optimal assignment of the contingency table.
+    matching is the exact maximum-weight assignment of the integer
+    contingency table, so the rate is fixed by the matched count alone.
     """
     if predicted.size != truth.size:
         raise ValueError(
@@ -74,11 +75,56 @@ def misclassification_rate(predicted: Partition, truth: Partition) -> float:
         )
     n = truth.size
     size = max(predicted.n_clusters, truth.n_clusters)
-    contingency = np.zeros((size, size), dtype=np.int64)
-    np.add.at(contingency, (truth.labels, predicted.labels), 1)
-    rows, cols = linear_sum_assignment(contingency, maximize=True)
-    matched = int(contingency[rows, cols].sum())
+    cells = truth.labels * size + predicted.labels
+    contingency = np.bincount(cells, minlength=size * size).reshape(size, size)
+    matched = _max_weight_assignment(contingency.tolist())
     return 100.0 * (n - matched) / n
+
+
+def _max_weight_assignment(weights: list[list[int]]) -> int:
+    """Total weight of a maximum-weight perfect matching of a square integer table.
+
+    The Hungarian method with row and column potentials: each row joins
+    the matching along a shortest augmenting path over the reduced costs
+    ``-weights[i][j] - u[i] - v[j]``, found Dijkstra-style, so the K x K
+    table takes O(K^3) steps. All arithmetic is on Python integers, so the
+    total is exact. Index 0 of the column arrays is a virtual column that
+    holds the row being inserted.
+    """
+    size = len(weights)
+    u = [0] * (size + 1)  # row potentials, rows numbered from 1
+    v = [0] * (size + 1)  # column potentials, columns numbered from 1
+    row_of = [0] * (size + 1)  # row matched to each column, 0 when free
+    for row in range(1, size + 1):
+        row_of[0] = row
+        col = 0
+        slack = [math.inf] * (size + 1)
+        prev = [0] * (size + 1)
+        done = [False] * (size + 1)
+        while row_of[col]:
+            done[col] = True
+            i = row_of[col]
+            cost_row = weights[i - 1]
+            delta, nearest = math.inf, 0
+            for j in range(1, size + 1):
+                if done[j]:
+                    continue
+                reduced = -cost_row[j - 1] - u[i] - v[j]
+                if reduced < slack[j]:
+                    slack[j], prev[j] = reduced, col
+                if slack[j] < delta:
+                    delta, nearest = slack[j], j
+            for j in range(size + 1):
+                if done[j]:
+                    u[row_of[j]] += delta
+                    v[j] -= delta
+                else:
+                    slack[j] -= delta
+            col = nearest
+        while col:
+            row_of[col] = row_of[prev[col]]
+            col = prev[col]
+    return sum(weights[row_of[j] - 1][j - 1] for j in range(1, size + 1))
 
 
 def aggregate(records: list[EvalRecord], motions: int) -> list[AggregateRow]:

@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 
 def eig_tail_sum(points: np.ndarray, dim: int) -> float:
@@ -198,3 +199,13 @@ def kmeans_sequential(rows: np.ndarray, n_clusters: int, seed: int, restarts: in
         if cost < best_cost:
             best_cost, best_labels = cost, labels
     return best_labels
+
+
+def assignment_misclassification(predicted: np.ndarray, truth: np.ndarray, k: int) -> float:
+    """Misclassification under scipy's optimal assignment of the contingency table."""
+    contingency = np.zeros((k, k), dtype=np.int64)
+    for p, t in zip(predicted, truth):
+        contingency[t, p] += 1
+    rows, cols = scipy.optimize.linear_sum_assignment(contingency, maximize=True)
+    n = len(truth)
+    return 100.0 * (n - int(contingency[rows, cols].sum())) / n

@@ -368,6 +368,22 @@ def test_scc_run_bandwidth_is_finite_on_two_repeated_points():
     assert misclassification_rate(result.partition, Partition(np.repeat([0, 1], [20, 10]), 2)) == 0.0
 
 
+def test_scc_run_gives_both_copies_of_a_duplicated_point_one_label():
+    # Every point given twice: a subset holding one copy scores the other
+    # copy +inf, whose affinity is 0 like the member entry of the first, so
+    # the two copies' affinity rows are equal and the run completes.
+    for seed in range(5):
+        spec = SynthSpec(
+            n_clusters=3, points_per_cluster=40, subspace_dim=2, ambient_dim=6, noise_sigma=0.01, seed=seed
+        )
+        data, truth = synth_subspace_mixture(spec)
+        result = scc_run(np.hstack([data, data]), SccConfig(subspace_dim=2, n_clusters=3, seed=seed))
+        labels = result.partition.labels
+        assert (labels[:120] == labels[120:]).all(), seed
+        twice = Partition(np.concatenate([truth.labels, truth.labels]), 3)
+        assert misclassification_rate(result.partition, twice) == 0.0, seed
+
+
 def test_scc_run_rejects_data_whose_points_all_coincide():
     # 30 copies of one point: every curvature is 0, so any split is arbitrary
     data = np.repeat(np.array([[1.0], [-2.0], [0.5], [3.0]]), 30, axis=1)

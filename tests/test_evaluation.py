@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +22,9 @@ from scc.evaluation import (
 from scc.geometry import Partition
 from scc.reference_results import PUBLISHED_RESULTS, reference_rows
 
-from oracles import brute_force_misclassification
+from oracles import assignment_misclassification, brute_force_misclassification
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _p(labels, k):
@@ -50,7 +57,7 @@ def test_hungarian_path_matches_brute_force():
             truth = _p(rng.integers(0, k, 60), k)
             pred = _p(rng.integers(0, k, 60), k)
             expected = brute_force_misclassification(pred.labels, truth.labels, k)
-            assert misclassification_rate(pred, truth) == pytest.approx(expected)
+            assert misclassification_rate(pred, truth) == expected
 
 
 def test_unequal_cluster_counts():
@@ -58,6 +65,55 @@ def test_unequal_cluster_counts():
     pred = _p([0, 1, 2, 2], 3)
     # best: map 2->1 (2 right), 0->0 (1 right); the leftover label matches nothing
     assert misclassification_rate(pred, truth) == pytest.approx(25.0)
+
+
+def test_unequal_cluster_counts_in_both_directions_match_brute_force():
+    rng = np.random.default_rng(3)
+    for k_pred, k_truth in [(2, 3), (3, 2), (2, 5), (5, 2), (4, 6), (6, 4), (1, 4), (4, 1)]:
+        for _ in range(10):
+            truth = rng.integers(0, k_truth, 40)
+            pred = rng.integers(0, k_pred, 40)
+            expected = brute_force_misclassification(pred, truth, max(k_pred, k_truth))
+            assert misclassification_rate(_p(pred, k_pred), _p(truth, k_truth)) == expected
+            assert misclassification_rate(_p(truth, k_truth), _p(pred, k_pred)) == expected
+
+
+def test_single_cluster_single_point_and_single_label_prediction():
+    assert misclassification_rate(_p([0] * 7, 1), _p([0] * 7, 1)) == 0.0
+    assert misclassification_rate(_p([0], 1), _p([0], 1)) == 0.0
+    assert misclassification_rate(_p([2], 3), _p([0], 3)) == 0.0
+    # one predicted label matches the largest true cluster only
+    truth = _p([0] * 5 + [1] * 3 + [2] * 2, 3)
+    assert misclassification_rate(_p([1] * 10, 3), truth) == 50.0
+    assert misclassification_rate(_p([0] * 10, 1), truth) == 50.0
+    assert misclassification_rate(truth, _p([0] * 10, 1)) == 50.0
+
+
+def test_many_clusters_match_scipy_assignment():
+    rng = np.random.default_rng(5)
+    for k in (8, 9, 12, 17, 25, 33, 40):
+        for n, concentrated in ((3 * k, False), (20 * k, False), (20 * k, True)):
+            truth = rng.integers(0, k, n)
+            if concentrated:
+                # mostly a relabeling of truth, so the best matching is far from the identity
+                pred = np.where(rng.random(n) < 0.7, rng.permutation(k)[truth], rng.integers(0, k, n))
+            else:
+                pred = rng.integers(0, k, n)
+            expected = assignment_misclassification(pred, truth, k)
+            assert misclassification_rate(_p(pred, k), _p(truth, k)) == expected
+
+
+def test_import_loads_no_scipy_module_beyond_linalg():
+    # a fresh interpreter: this process may hold these modules through the oracles
+    code = (
+        "import sys, scc, scc.cli\n"
+        "names = ('scipy.optimize', 'scipy.sparse', 'scipy.spatial', 'scipy.special')\n"
+        "print(' '.join(n for n in names if n in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ""
 
 
 def test_length_mismatch_rejected():
