@@ -115,19 +115,15 @@ def polar_curvature_sq(points, flat_dim: int) -> float:
 # every temporary of ``_curvature_block`` is a view of it (those of the
 # D-dimensional residual step only of a ``_BLOCK_ENTRIES`` slice), so a
 # call allocates it once instead of taking fresh temporaries for every
-# chunk. When each chunk allocated its own, glibc's malloc handed them new
-# pages: about 1.2M page faults over two in-process cycles of perfbench's
-# motion workload, against about 600 with the workspace, and the two cycles
-# took 11.9-13.5 s against 7.4-8.3 s (2-core host, 1 BLAS thread).
+# chunk: glibc's malloc handed each chunk's own temporaries new pages, and
+# their page faults made the kernel markedly slower.
 _CHUNK_ENTRIES = 1 << 19
 # entries (512 KB) of the D-dimensional residual step's two temporaries, the
-# offsets and Q T of a block of a chunk's subsets: at a chunk's size they
-# are about 4 MB at SCC(4,2F) motion shapes, twice a core's 2 MB L2 cache,
-# and every pass over them streamed from L3. Over the kernel calls of one
-# cycle of each perfbench workload (seed 7, median of 5 in-process reps,
-# 2-core host, 1 BLAS thread) whole-chunk temporaries took 1.87 s (motion),
-# 1.40 s (large_n) and 0.96 s (protocol), and blocks of 2^16 entries 1.53,
-# 1.15 and 0.85 s; 2^14 to 2^17 entries read within 10% of 2^16, either way.
+# offsets and Q T of a block of a chunk's subsets. At a chunk's size they
+# would be about 4 MB at SCC(4,2F) motion shapes, twice a core's 2 MB L2
+# cache, and every pass over them would stream from L3; a block that fits
+# in L2 is faster on every perfbench workload, and the time is flat over a
+# few powers of two around this size.
 _BLOCK_ENTRIES = 1 << 16
 # squared distance, in units of the subset's extent, below which two points coincide
 _DUP_TOL = (1e3 * _EPS) ** 2
@@ -140,10 +136,8 @@ def _workspace_rows(ambient: int, k: int, m: int) -> int:
     T or s (which overwrites T) and the vertex differences (1 + m + k m);
     h2, s and five combine-step rows (5 + 2m). The offsets and Q T take only
     a ``_BLOCK_ENTRIES`` slice of their 2D rows at a time, but the rows stay
-    counted, so a block of up to the whole chunk fits. Dropping them gave
-    larger chunks and no faster kernel: x0.80 of the whole-chunk kernel's
-    time on perfbench motion and x0.76 on large_n, against x0.77 and x0.75
-    with them (one cycle's kernel calls, median of 7 in-process reps).
+    counted, so a block of up to the whole chunk fits. Dropping them would
+    give larger chunks, but no faster kernel.
     """
     return max(1 + k + 2 * ambient, 1 + m + k * m, 5 + 2 * m)
 

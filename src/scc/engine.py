@@ -71,6 +71,7 @@ _IMPROVEMENT_TOL = 1e-6
 # consecutive iterations without an improvement that end a run
 _PATIENCE = 3
 
+# numpy's and scipy's wheels prefix their OpenBLAS symbols with scipy_openblas_
 _OPENBLAS_THREAD_SYMBOLS = [
     (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
     for prefix in ("scipy_openblas_", "openblas_")
@@ -223,13 +224,11 @@ def sigma_candidates(curv, member, subspace_dim: int, n_clusters: int) -> list[f
     q = 2, and so on, so the member entries drop out after the first.
     Order statistics are exact, so the values are those of a full sort.
     The inputs are not modified, and the copy is the only array of their
-    size that the call allocates. One partition with every position
-    (numpy's multi-kth selection) took 31 ms over the 1.8M curvatures of a
-    perfbench ``large_n`` sweep, against 7.8 ms for the narrowing ones
-    (median of 15, 2-core host). Member entries set to -inf instead, with
-    every position shifted past them, stay in every narrowed part as ties,
-    and took 1.7x the masked vector's time at an SCC(4,2F) protocol shape
-    (N = 60, c = 300), where +inf took 0.9x.
+    size that the call allocates. The narrowing selections are faster than
+    one partition with every position (numpy's multi-kth selection), which
+    works over the whole copy for each. Member entries set to -inf instead,
+    with every position shifted past them, would stay in every narrowed
+    part as ties, so +inf is the cheaper marker.
     """
     work = np.array(curv, dtype=np.float64, order="C")
     member = np.asarray(member, dtype=bool)
@@ -356,9 +355,12 @@ def sweep_and_cluster(
 def _blas_thread_controls() -> tuple:
     """The (get, set) thread-count functions of each OpenBLAS in this process.
 
-    numpy and scipy may each load their own OpenBLAS, with its own thread
-    pool; ``import scc`` loads both, so one lookup serves the process and
-    any worker forked after it. Empty without /proc/self/maps or an OpenBLAS.
+    The lookup runs once, at the first call, and finds every OpenBLAS
+    mapped then (numpy's, and any other library's, such as scipy's, each
+    with its own thread pool); it serves the process and any worker forked
+    after it. scc computes only through numpy's, so an OpenBLAS that loads
+    later, with a later scipy import, does not touch a run. Empty without
+    /proc/self/maps or an OpenBLAS.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as handle:

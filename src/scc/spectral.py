@@ -34,7 +34,6 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
 
 from . import seeding
 from .geometry import Partition, as_data_matrix, fit_affine_ols, subspace_sq_distances
@@ -248,9 +247,8 @@ def spectral_cluster(weights, n_clusters: int, seed: int) -> Partition:
         raise ValueError(f"cannot split {n} points into {n_clusters} clusters")
 
     zero_degree, inv_sqrt = _inverse_sqrt_degree(W.sum(axis=1))
-    # in Fortran order, which LAPACK reads without a transposed copy
-    M = np.multiply(W * inv_sqrt[:, None], inv_sqrt[None, :], order="F")
-    _, vecs = scipy.linalg.eigh(M, subset_by_index=(n - n_clusters, n - 1))
+    M = W * inv_sqrt[:, None] * inv_sqrt[None, :]
+    vecs = np.linalg.eigh(M)[1][:, n - n_clusters :]
     return _embeddings_to_labels([(vecs, zero_degree)], n_clusters, [seed])[0]
 
 
@@ -347,14 +345,11 @@ def _lanczos(G: np.ndarray, known: np.ndarray, count: int) -> tuple[np.ndarray, 
         if filled < m and k < due:
             continue
         # the Rayleigh quotient of the Krylov rows (known is G's eigenvector, so
-        # it is left out), in the column order LAPACK reads without a copy
+        # it is left out); proj is symmetric only to round-off, and eigh reads
+        # its lower triangle
         proj = images[1:filled] @ basis[1:filled].T
-        vals, vecs, _, _, info = scipy.linalg.lapack.dsyevr(
-            proj.T, compute_v=1, range="I", il=k - count + 1, iu=k, overwrite_a=1
-        )
-        if info != 0:
-            raise np.linalg.LinAlgError(f"dsyevr failed with info {info}")
-        vals, vecs = vals[:count], vecs[:, :count]
+        vals, vecs = np.linalg.eigh(proj, UPLO="L")
+        vals, vecs = vals[k - count :], vecs[:, k - count :]
         ritz = vecs.T @ basis[1:filled]
         if filled == m:
             break

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
+import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS before any test looks the libraries up)
 
 import scc.cli
 from scc.cli import main
