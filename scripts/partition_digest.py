@@ -2,8 +2,10 @@
 """Print SHA-256s of the labels and kernel outputs of every perfbench motion case, large_n trial and protocol cell.
 
 Writes the seeded inputs of the `motion`, `large_n` and `protocol`
-workloads of ``perfbench/workloads.py`` to a temporary directory, runs each
-case once at one OpenBLAS thread, as the benchmark does, and prints one
+workloads of ``perfbench/workloads.py`` to a temporary directory and
+prints one line per workload, ``inputs <workload> <sha256>``, hashing the
+names and bytes of its input files in name order. It then runs each case
+once at one OpenBLAS thread, as the benchmark does, and prints one
 line per case: its name, the SHA-256 of its int64 labels (which the
 engine numbers in order of first occurrence, so they depend only on the
 grouping found), the SHA-256 of every ``curvature_matrix`` output the run
@@ -19,7 +21,8 @@ iteration counts are listed per repeat, comma-separated. The mean
 misclassification of each regime (workload, d and projection) and of all
 cases follows. Two commits give the same partitions on a seed exactly when
 their label digests are equal, and the same curvatures on every kernel call
-of the seed's inputs when their kernel digests are.
+of the seed's inputs when their kernel digests are. The input digests come
+first, so a diff shows at its top whether the two wrote the same inputs.
 A diff of the two outputs also shows what a changed partition did to the
 accuracy and which runs a change of stopping rule shortened:
 
@@ -37,7 +40,7 @@ import statistics
 import sys
 import tempfile
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 if __name__ == "__main__":
     # before numpy loads OpenBLAS: a multi-threaded product rounds differently
@@ -98,13 +101,30 @@ class KernelDigest:
         return value
 
 
-def run_cases(seed: int) -> Iterator[Case]:
-    """Run every case of the seed's `motion`, `large_n` and `protocol` inputs, in order."""
+def inputs_digest(directory: Path) -> str:
+    """SHA-256 of the names and bytes of the files in ``directory``, in name order."""
+    value = hashlib.sha256()
+    for path in sorted(directory.iterdir()):
+        data = path.read_bytes()
+        value.update(f"{path.name}\0{len(data)}\0".encode())
+        value.update(data)
+    return value.hexdigest()
+
+
+def run_cases(seed: int, on_inputs: Callable[[str, Path], None] | None = None) -> Iterator[Case]:
+    """Run every case of the seed's `motion`, `large_n` and `protocol` inputs, in order.
+
+    All three workloads' inputs are written first; ``on_inputs`` is then
+    called with each workload's name and input directory, before any case runs.
+    """
     with KernelDigest() as kernel, tempfile.TemporaryDirectory() as tmp:
+        inputs = {workload: Path(tmp) / workload for workload in ("motion", "large_n", "protocol")}
+        for workload, directory in inputs.items():
+            make_inputs(workload, seed, directory)
+            if on_inputs is not None:
+                on_inputs(workload, directory)
         for workload in ("motion", "large_n"):
-            inputs = Path(tmp) / workload
-            make_inputs(workload, seed, inputs)
-            for case in load_cases(workload, seed, inputs):
+            for case in load_cases(workload, seed, inputs[workload]):
                 result = scc_run(case.data, case.config)
                 yield Case(
                     case.name,
@@ -114,9 +134,7 @@ def run_cases(seed: int) -> Iterator[Case]:
                     misclassification_rate(result.partition, case.truth),
                     str(result.iterations_run),
                 )
-        inputs = Path(tmp) / "protocol"
-        make_inputs("protocol", seed, inputs)
-        for record, cell in bench_cells(inputs, PROTOCOL_REGIMES, None, ITERATIONS):
+        for record, cell in bench_cells(inputs["protocol"], PROTOCOL_REGIMES, None, ITERATIONS):
             configs = trial_configs(record, cell, PROTOCOL_REPEATS, seed)
             results = [scc_run(record.trajectories, config) for config in configs]
             method = f"SCC({cell.subspace_dim},{cell.projection})"
@@ -144,8 +162,11 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1, help="workload seed, as perfbench/run.py --seed")
     args = parser.parse_args()
 
+    def print_inputs(workload: str, directory: Path) -> None:
+        print(f"inputs {workload} {inputs_digest(directory)}", flush=True)
+
     cases = []
-    for case in run_cases(args.seed):
+    for case in run_cases(args.seed, print_inputs):
         cases.append(case)
         print(f"{case.name} {case.labels} {case.kernel} {case.error:.4f} {case.iterations}", flush=True)
     print("\n".join(mean_lines(cases)))

@@ -163,7 +163,7 @@ def load_sequence(path) -> SequenceRecord:
                 path, line_no, f"expected {n_points} values, got {len(tokens)}"
             )
         try:
-            rows[i] = [float(t) for t in tokens]
+            rows[i] = list(map(float, tokens))
         except ValueError as exc:
             raise SequenceParseError(path, line_no, f"bad number: {exc}") from None
         if not np.isfinite(rows[i]).all():
@@ -199,9 +199,10 @@ def save_sequence(path, record: SequenceRecord) -> None:
         f"K={record.n_motions} CAT={record.category}"
     ]
     if record.truth_labels is not None:
-        lines.append("LABELS " + " ".join(str(int(v)) for v in record.truth_labels.labels))
-    for row in record.trajectories:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
+        lines.append("LABELS " + " ".join(map(str, record.truth_labels.labels.tolist())))
+    # "%.17g" writes each value as f"{v:.17g}" does
+    row_format = " ".join(["%.17g"] * record.n_points)
+    lines.extend(row_format % tuple(row) for row in record.trajectories.tolist())
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -236,19 +237,27 @@ class SynthSpec:
             raise ValueError("seed must be nonnegative")
 
 
-# entries (4 MB) of each row block of squared distances in ``_diameter``
+# entries (4 MB) of the first row block of squared distances in ``_diameter``;
+# blocks narrow as the scan moves down the triangle
 _DIAMETER_BLOCK_ENTRIES = 1 << 19
 
 
 def _diameter(X: np.ndarray) -> float:
-    """Largest distance between columns, as |x|^2 + |y|^2 - 2 x.y, one row block of the N x N at a time."""
+    """Largest distance between columns, as |x|^2 + |y|^2 - 2 x.y, one row block of the upper triangle at a time.
+
+    Entries (i, j) and (j, i) are the same sum of the same products, so
+    each block is scanned only against the columns from its own first row
+    on. Scaling the block before the product keeps numpy from sending a
+    block that is all of X to syrk, which rounds differently.
+    """
     n = X.shape[1]
     norms = np.einsum("ij,ij->j", X, X)
     rows = max(1, _DIAMETER_BLOCK_ENTRIES // n)
     largest = 0.0
     for start in range(0, n, rows):
         block = X[:, start : start + rows]
-        sq = norms[start : start + rows, None] + norms[None, :] - 2.0 * block.T @ X
+        sq = np.add.outer(norms[start : start + rows], norms[start:])
+        sq -= 2.0 * block.T @ X[:, start:]
         largest = max(largest, float(sq.max()))
     return float(np.sqrt(largest))
 

@@ -209,3 +209,29 @@ def assignment_misclassification(predicted: np.ndarray, truth: np.ndarray, k: in
     rows, cols = scipy.optimize.linear_sum_assignment(contingency, maximize=True)
     n = len(truth)
     return 100.0 * (n - int(contingency[rows, cols].sum())) / n
+
+
+def diameter_full_scan(X: np.ndarray, block_entries: int = 1 << 19) -> float:
+    """Largest column distance from every ordered pair's |x|^2 + |y|^2 - 2 x.y, one row block of the N x N at a time."""
+    n = X.shape[1]
+    norms = np.einsum("ij,ij->j", X, X)
+    rows = max(1, block_entries // n)
+    largest = 0.0
+    for start in range(0, n, rows):
+        block = X[:, start : start + rows]
+        sq = norms[start : start + rows, None] + norms[None, :] - 2.0 * block.T @ X
+        largest = max(largest, float(sq.max()))
+    return float(np.sqrt(largest))
+
+
+def seq_text_per_value(record) -> str:
+    """A record's ``.seq`` text, formatting every value on its own with f"{v:.17g}"."""
+    lines = [
+        f"SEQ {record.sequence_id} F={record.n_frames} N={record.n_points} "
+        f"K={record.n_motions} CAT={record.category}"
+    ]
+    if record.truth_labels is not None:
+        lines.append("LABELS " + " ".join(str(int(v)) for v in record.truth_labels.labels))
+    for row in record.trajectories:
+        lines.append(" ".join(f"{v:.17g}" for v in row))
+    return "\n".join(lines) + "\n"

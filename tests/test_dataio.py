@@ -15,7 +15,7 @@ from scc.engine import SccConfig, scc_run
 from scc.evaluation import misclassification_rate
 from scc.geometry import Partition, fit_affine_ols, subspace_sq_distances, total_ols_error
 
-from oracles import total_scatter
+from oracles import diameter_full_scan, seq_text_per_value, total_scatter
 
 MINIMAL = """SEQ tiny F=2 N=3 K=0 CAT=other
 1 2 3
@@ -68,6 +68,23 @@ def test_round_trip_is_bit_exact(tmp_path):
     assert (tmp_path / "rt.seq").read_bytes() == (tmp_path / "rt2.seq").read_bytes()
 
 
+def test_writer_formats_every_value_as_the_per_value_oracle(tmp_path):
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1e-300, 3.0]
+    record = SequenceRecord(
+        sequence_id="edge",
+        trajectories=np.array([extremes, extremes[::-1]]),
+        truth_labels=Partition(np.array([0, 1, 1, 0, 2, 0]), 3),
+    )
+    path = tmp_path / "edge.seq"
+    save_sequence(path, record)
+    assert path.read_bytes() == seq_text_per_value(record).encode("utf-8")
+    loaded = load_sequence(path)
+    assert loaded.trajectories.tobytes() == record.trajectories.tobytes()
+    assert np.array_equal(loaded.truth_labels.labels, record.truth_labels.labels)
+    save_sequence(tmp_path / "again.seq", loaded)
+    assert (tmp_path / "again.seq").read_bytes() == path.read_bytes()
+
+
 def test_n_motions_follows_truth_labels(tmp_path):
     fields = dict(sequence_id="nm", trajectories=np.zeros((2, 4)))
     truth = Partition(np.array([0, 1, 1, 0]), 2)
@@ -98,6 +115,8 @@ def test_category_the_file_format_cannot_hold_is_rejected(tmp_path, category):
         (lambda lines: lines[:2] + ["4 5"] + lines[3:], 3),
         (lambda lines: lines[:2] + ["4 5 nope"] + lines[3:], 3),
         (lambda lines: lines[:2] + ["4 5 inf"] + lines[3:], 3),
+        # the finiteness check runs row by row: the first bad row is reported
+        (lambda lines: lines[:2] + ["4 5 inf", "7 8 nope"] + lines[4:], 3),
         (lambda lines: lines[:4], 5),
         (lambda lines: lines + ["99 99 99"], 6),
     ],
@@ -162,6 +181,36 @@ def test_diameter_matches_direct_pairwise_max(monkeypatch, block_entries):
         X = rng.standard_normal((6, 300)) + shift
         direct = max(float(np.linalg.norm(X - X[:, [j]], axis=0).max()) for j in range(X.shape[1]))
         assert dataio._diameter(X) == pytest.approx(direct, rel=1e-12, abs=0.0)
+        # the triangle's largest entry is the full N x N's, to the bit
+        assert dataio._diameter(X) == diameter_full_scan(X, block_entries)
+
+
+def test_diameter_equals_the_full_scan_on_small_and_large_inputs():
+    rng = np.random.default_rng(7)
+    # N = 15 in R^60: X.T @ X (syrk) rounds some of these apart from the block product
+    for X in [rng.standard_normal((60, 15)) for _ in range(40)] + [rng.standard_normal((6, 1))]:
+        assert dataio._diameter(X) == diameter_full_scan(X)
+    # the shape of the perfbench large_n input: N = 6000 in R^20, 12 blocks
+    X, _ = synth_subspace_mixture(SynthSpec(n_clusters=3, points_per_cluster=2000, subspace_dim=3, ambient_dim=20, seed=1))
+    assert dataio._diameter(X) == diameter_full_scan(X)
+
+
+def test_generators_are_unchanged_by_the_full_scan(monkeypatch):
+    specs = [
+        SynthSpec(n_clusters=3, points_per_cluster=40, subspace_dim=2, ambient_dim=6, noise_sigma=0.01, seed=s)
+        for s in range(4)
+    ] + [
+        SynthSpec(n_clusters=2, points_per_cluster=500, subspace_dim=3, ambient_dim=20, noise_sigma=0.01, seed=1),
+        # N = 15: the noise would move by an ulp were X.T @ X sent to syrk
+        SynthSpec(n_clusters=3, points_per_cluster=5, subspace_dim=3, ambient_dim=20, noise_sigma=0.01, seed=3),
+    ]
+    motions = [SynthSpec(n_clusters=k, points_per_cluster=per, n_frames=8, noise_sigma=0.002, seed=s)
+               for k, per in ((2, 60), (3, 60), (3, 5)) for s in range(3)]
+    mixtures = [synth_subspace_mixture(spec)[0].tobytes() for spec in specs]
+    trajectories = [synth_affine_motion(spec).trajectories.tobytes() for spec in motions]
+    monkeypatch.setattr(dataio, "_diameter", diameter_full_scan)
+    assert [synth_subspace_mixture(spec)[0].tobytes() for spec in specs] == mixtures
+    assert [synth_affine_motion(spec).trajectories.tobytes() for spec in motions] == trajectories
 
 
 def test_mixture_rejects_bad_dims():

@@ -1,13 +1,14 @@
 """Golden partitions: the perfbench inputs of seed 1 must still cluster as committed.
 
 ``golden_partitions_seed1.txt`` holds what ``scripts/partition_digest.py
---seed 1`` prints, less the kernel digests, which depend on the BLAS and
-SIMD build: per case its label digest, misclassification and iteration
-counts, then the mean misclassification per regime. A change that moves a
-partition on purpose regenerates the file and lists the cases it moved:
+--seed 1`` prints, less the input and kernel digests, which depend on the
+BLAS and SIMD build: per case its label digest, misclassification and
+iteration counts, then the mean misclassification per regime. A change that
+moves a partition on purpose regenerates the file and lists the cases it moved:
 
     python scripts/partition_digest.py --seed 1 \\
-        | awk '$1 != "mean" {print $1, $2, $4, $5; next} {print}' > tests/golden_partitions_seed1.txt
+        | awk '$1 == "inputs" {next} $1 != "mean" {print $1, $2, $4, $5; next} {print}' \\
+        > tests/golden_partitions_seed1.txt
 """
 
 import importlib.util
