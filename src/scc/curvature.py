@@ -127,6 +127,8 @@ _CHUNK_ENTRIES = 1 << 19
 _BLOCK_ENTRIES = 1 << 16
 # squared distance, in units of the subset's extent, below which two points coincide
 _DUP_TOL = (1e3 * _EPS) ** 2
+# ln(2^-1022): an affinity exponent below it would give a subnormal exp
+_LOG_TINY = math.log(np.finfo(np.float64).tiny)
 
 
 def _workspace_rows(ambient: int, k: int, m: int) -> int:
@@ -147,9 +149,10 @@ def curvature_matrix(data, sample_sets) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(curv, member)`` of shape (N, c): ``curv[i, r]`` is the
     squared polar curvature of point i appended to subset r, and
-    ``member[i, r]`` marks i being inside subset r (those entries are
-    excluded from any downstream use and hold zeros). A tuple with a
-    duplicated point scores +inf, and 0 when all its points coincide.
+    ``member[i, r]`` marks i being inside subset r (those entries hold
+    zeros; the sweep sets them to +inf, the score of a tuple with a
+    repeated point, and drops the mask). A tuple with a duplicated point
+    scores +inf, and 0 when all its points coincide.
 
     Each subset r is reduced to the QR factorization Q R of the edge
     vectors from its first point (the anchor). A point x has coordinates
@@ -276,19 +279,24 @@ def _curvature_block(X: np.ndarray, sets: np.ndarray, work: np.ndarray) -> np.nd
     return out
 
 
-def affinity_from_curvatures(curv: np.ndarray, member: np.ndarray, sigma_sq: float) -> np.ndarray:
-    """exp(-curv / (2 sigma_sq)) with member entries set to 0.
+def affinity_from_curvatures(curv: np.ndarray, sigma_sq: float) -> np.ndarray:
+    """exp(-curv / (2 sigma_sq)), with every value that would be subnormal set to 0.
 
-    Curvatures are nonnegative or +inf, as ``curvature_matrix`` returns
-    them; an infinite one maps to exp(-inf) = 0. The result is computed in
-    one (N, c) array.
+    Curvatures are nonnegative or +inf. An infinite one maps to
+    exp(-inf) = 0; the sweep gives the member entries (a point inside its
+    own subset) +inf, so their affinity is 0. An exponent below
+    ln(2^-1022) is set to -inf before ``exp``, so no affinity is subnormal:
+    subnormal operands make the spectral step's products markedly slower.
+    A point whose every affinity underflows so has zero degree, and the
+    spectral step attaches it to the nearest fitted subspace. The result is
+    computed in one (N, c) array.
     """
     if not sigma_sq > 0.0:
         raise ValueError("sigma_sq must be positive")
     with np.errstate(over="ignore"):
         aff = np.divide(curv, -2.0 * sigma_sq)
+    np.copyto(aff, -np.inf, where=aff < _LOG_TINY)
     np.exp(aff, out=aff)
-    aff[member] = 0.0
     return aff
 
 

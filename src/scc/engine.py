@@ -202,43 +202,36 @@ def _draw_sets(pools, quotas, size: int, rng: np.random.Generator) -> np.ndarray
     return np.concatenate(blocks)
 
 
-def sigma_candidates(curv, member, subspace_dim: int, n_clusters: int) -> list[float]:
+def sigma_candidates(curv, subspace_dim: int, n_clusters: int) -> list[float]:
     """The d+1 bandwidth candidates sigma^2, one per q = 1..d+1.
 
-    ``curv`` holds squared curvatures and ``member`` is a boolean mask of
-    its shape; the entries under the mask are left out. For the L entries
-    outside it, candidate q is their entry at 1-based position
-    round(L / K^q) in ascending order (round half up, clamped to the valid
-    range; the input need not be sorted), used directly as sigma^2. The
-    sweep passes the (N, c) curvature matrix and its member mask, so the
-    candidates come from the (N-d-1)*c curvatures of the points outside
-    their sampled sets.
+    ``curv`` is an (N, c) curvature matrix whose member entries, the d+1
+    per column of a point inside its own sampled subset, hold +inf, as the
+    sweep's do; they are left out. For the L = (N-d-1)*c entries outside
+    them, candidate q is their entry at 1-based position round(L / K^q) in
+    ascending order (round half up, clamped to the valid range; the input
+    need not be sorted), used directly as sigma^2.
 
-    The work happens on one copy of ``curv``, whose member entries are set
-    to +inf: they sort at or above every curvature, so the first L
-    positions of the copy, sorted, hold the values of the L others, sorted
-    (ties between a member and an infinite curvature are equal values).
-    The positions never grow with q, so the candidates are selected
-    largest first, each by one in-place partition of the front part the
-    previous one kept: the whole copy for q = 1, about L/K entries for
-    q = 2, and so on, so the member entries drop out after the first.
-    Order statistics are exact, so the values are those of a full sort.
-    The inputs are not modified, and the copy is the only array of their
-    size that the call allocates. The narrowing selections are faster than
-    one partition with every position (numpy's multi-kth selection), which
-    works over the whole copy for each. Member entries set to -inf instead,
-    with every position shifted past them, would stay in every narrowed
-    part as ties, so +inf is the cheaper marker.
+    The work happens on one copy of ``curv``. The member entries sort at or
+    above every curvature, so the first L positions of the copy, sorted,
+    hold the values of the L others, sorted (ties between a member and an
+    infinite curvature are equal values). The positions never grow with q,
+    so the candidates are selected largest first, each by one in-place
+    partition of the front part the previous one kept: the whole copy for
+    q = 1, about L/K entries for q = 2, and so on, so the member entries
+    drop out after the first. Order statistics are exact, so the values are
+    those of a full sort. The input is not modified, and the copy is the
+    only array of its size that the call allocates. The narrowing
+    selections are faster than one partition with every position (numpy's
+    multi-kth selection), which works over the whole copy for each. Member
+    entries of -inf instead, with every position shifted past them, would
+    stay in every narrowed part as ties, so +inf is the cheaper marker.
     """
-    work = np.array(curv, dtype=np.float64, order="C")
-    member = np.asarray(member, dtype=bool)
-    if member.shape != work.shape:
-        raise ValueError(f"member mask has shape {member.shape}, curvatures {work.shape}")
-    length = work.size - int(np.count_nonzero(member))
-    if length == 0:
+    n, c = np.shape(curv)
+    length = (n - subspace_dim - 1) * c
+    if length <= 0:
         raise ValueError("need at least one curvature outside the member entries")
-    work[member] = np.inf
-    kept = work.reshape(-1)
+    kept = np.array(curv, dtype=np.float64, order="C").reshape(-1)
     candidates = []
     for q in range(1, subspace_dim + 2):
         i = min(max(math.floor(length / n_clusters**q + 0.5), 1), length) - 1
@@ -294,11 +287,11 @@ def _positive_floor(curv: np.ndarray) -> float:
     return floor if np.isfinite(floor) else 1.0
 
 
-def _affinities(curv: np.ndarray, member: np.ndarray, sigmas: list[float]):
+def _affinities(curv: np.ndarray, sigmas: list[float]):
     """Each candidate's affinity in turn, computed when it is read."""
     for sigma_sq in sigmas:
         # looked up in this module at each call, where perfbench's tracer wraps it
-        yield affinity_from_curvatures(curv, member, sigma_sq)
+        yield affinity_from_curvatures(curv, sigma_sq)
 
 
 def sweep_and_cluster(
@@ -311,12 +304,18 @@ def sweep_and_cluster(
     been applied). Raises ValueError unless every sample set holds d+1
     points.
 
-    Beside its inputs, a sweep holds at most the (N, c) curvature matrix,
-    its member mask, one more (N, c) float array and small temporaries:
-    the bandwidth selection's copy of the curvatures, then each candidate's
-    affinity in turn, which the spectral step overwrites and drops before
-    it reads the next. The curvature matrix and the mask are freed after
-    the last affinity, before the k-means batch.
+    A point inside its own subset makes a tuple with a repeated point, which
+    the kernel's duplicate rule scores +inf, so the sweep writes +inf at the
+    member entries of its curvature matrix and frees the kernel's member
+    mask before the bandwidths are chosen: the member entries sort last
+    there, and their affinity is exp(-inf) = 0. Beside its inputs, a sweep
+    then holds at most that matrix, one more (N, c) float array and small
+    temporaries: the bandwidth selection's copy of the curvatures, then each
+    candidate's affinity in turn, which the spectral step overwrites and
+    drops before it reads the next. The largest temporary, an (N, c)
+    boolean of the exponents that underflow, lives only inside
+    ``affinity_from_curvatures``. The curvature matrix is freed after the
+    last affinity, before the k-means batch.
     """
     X = as_data_matrix(data)
     d = config.subspace_dim
@@ -326,21 +325,23 @@ def sweep_and_cluster(
         raise ValueError(f"sample sets must hold d+1 = {d + 1} points each, got shape {np.shape(sample_sets)}")
 
     curv, member = curvature_matrix(X, sample_sets)
-    sigmas = sigma_candidates(curv, member, d, k)
+    curv[member] = np.inf
+    del member
+    sigmas = sigma_candidates(curv, d, k)
     # exact fits give zero curvatures and duplicated points +inf ones;
     # either as sigma^2 would make the kernel unusable
     if not all(0.0 < s < math.inf for s in sigmas):
-        floor_sigma = _positive_floor(curv)  # member entries are zero, so never the floor
+        floor_sigma = _positive_floor(curv)  # member entries are +inf, so never the floor
         sigmas = [s if 0.0 < s < math.inf else floor_sigma for s in sigmas]
     seeds = [
         seeding.derived_seed(config.seed, _STREAM_SPECTRAL, iteration, q)
         for q in range(1, len(sigmas) + 1)
     ]
-    # the generator holds the last references to curv and member, so both
-    # are freed once the spectral step has read the last affinity, before
-    # its k-means batch allocates
-    affinities = _affinities(curv, member, sigmas)
-    del curv, member
+    # the generator holds the last reference to curv, so it is freed once
+    # the spectral step has read the last affinity, before its k-means
+    # batch allocates
+    affinities = _affinities(curv, sigmas)
+    del curv
     partitions = spectral_cluster_factored(affinities, k, seeds, data=X, subspace_dim=d)
 
     best = None

@@ -235,3 +235,28 @@ def seq_text_per_value(record) -> str:
     for row in record.trajectories:
         lines.append(" ".join(f"{v:.17g}" for v in row))
     return "\n".join(lines) + "\n"
+
+
+def sigma_candidates_masked(curv, member, subspace_dim: int, n_clusters: int) -> list[float]:
+    """Bandwidth candidates from the curvatures outside a boolean member mask, as the selection once took them.
+
+    The L entries outside the mask, in a copy whose member entries are set
+    to +inf, give candidate q = 1..d+1 at 1-based position round(L / K^q)
+    of their ascending order, selected by narrowing partitions.
+    """
+    work = np.array(curv, dtype=np.float64, order="C")
+    member = np.asarray(member, dtype=bool)
+    if member.shape != work.shape:
+        raise ValueError(f"member mask has shape {member.shape}, curvatures {work.shape}")
+    length = work.size - int(np.count_nonzero(member))
+    if length == 0:
+        raise ValueError("need at least one curvature outside the member entries")
+    work[member] = np.inf
+    kept = work.reshape(-1)
+    candidates = []
+    for q in range(1, subspace_dim + 2):
+        i = min(max(math.floor(length / n_clusters**q + 0.5), 1), length) - 1
+        kept.partition(i)
+        kept = kept[: i + 1]
+        candidates.append(float(kept[i]))
+    return candidates

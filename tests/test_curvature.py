@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scc import curvature
+from scc import curvature, engine
 from scc.curvature import (
     affinity_from_curvatures,
     curvature_matrix,
@@ -271,19 +271,45 @@ def test_sample_set_validation():
         validate_sample_sets(np.array([[0.5, 1.0]]), 5)
 
 
-def test_affinity_member_entries_are_zero():
+def test_affinity_member_entries_are_zero(monkeypatch):
+    # the sweep writes +inf at the member entries of its curvature matrix,
+    # so every candidate's affinity is exactly 0 there (the spectral step
+    # scales the affinities in place, so each is copied as it is computed)
     data, sets = _random_case(17)
-    aff = affinity_from_curvatures(*curvature_matrix(data, sets), 1.0)
-    for r in range(sets.shape[0]):
-        assert (aff[sets[r], r] == 0.0).all()
-    assert (aff >= 0.0).all() and (aff <= 1.0).all()
+    affinities = []
+    affinity = engine.affinity_from_curvatures
+
+    def recording(*args):
+        affinities.append(affinity(*args))
+        return affinities[-1].copy()
+
+    monkeypatch.setattr(engine, "affinity_from_curvatures", recording)
+    d = sets.shape[1] - 1
+    engine.sweep_and_cluster(data, sets, engine.SccConfig(subspace_dim=d, n_clusters=2))
+    assert len(affinities) == d + 1
+    member = np.zeros(affinities[0].shape, dtype=bool)
+    member[sets.ravel(), np.repeat(np.arange(sets.shape[0]), d + 1)] = True
+    for aff in affinities:
+        assert (aff[member] == 0.0).all()
+        assert (aff >= 0.0).all() and (aff <= 1.0).all()
+
+
+def test_affinity_underflow_is_an_exact_zero():
+    # exp(-710) would be subnormal (about 4.5e-309); exp(-700) is not
+    aff = affinity_from_curvatures(np.array([[1420.0, 1400.0, 0.0, np.inf]]), 1.0)
+    assert aff[0, 0] == 0.0 and aff[0, 1] == np.exp(-700.0)
+    assert aff[0, 2] == 1.0 and aff[0, 3] == 0.0
+    tiny = np.finfo(np.float64).tiny
+    curv = np.linspace(1400.0, 1430.0, 3001)[:, None]
+    aff = affinity_from_curvatures(curv, 1.0)
+    assert ((aff == 0.0) | (aff >= tiny)).all() and (aff == 0.0).any() and (aff >= tiny).any()
 
 
 def test_affinity_on_flat_point_is_one():
     rng = np.random.default_rng(18)
     data = random_flat_tuple(rng, 1, 4, 10)
     sets = np.array([[0, 1], [2, 3]])
-    aff = affinity_from_curvatures(*curvature_matrix(data, sets), 0.5)
+    aff = affinity_from_curvatures(curvature_matrix(data, sets)[0], 0.5)
     mask = np.ones(10, dtype=bool)
     mask[[0, 1]] = False
     assert np.all(aff[mask, 0] >= 1.0 - 1e-6)
@@ -295,23 +321,23 @@ def test_affinity_exponent_plug_in():
     curv = polar_curvature_sq(pts, 1)
     data = np.column_stack([pts, [5.0, 9.0]])  # extra point so the set has a complement
     sets = np.array([[1, 2]])
-    aff = affinity_from_curvatures(*curvature_matrix(data, sets), curv / 2.0)
+    aff = affinity_from_curvatures(curvature_matrix(data, sets)[0], curv / 2.0)
     assert aff[0, 0] == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_affinity_rejects_bad_sigma():
-    curv, member = curvature_matrix(*_random_case(19))
+    curv, _ = curvature_matrix(*_random_case(19))
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
-            affinity_from_curvatures(curv, member, bad)
+            affinity_from_curvatures(curv, bad)
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10_000), bump=st.floats(0.1, 10.0))
 def test_affinity_monotone_in_sigma(seed, bump):
-    curv, member = curvature_matrix(*_random_case(seed % 100))
-    low = affinity_from_curvatures(curv, member, 0.7)
-    high = affinity_from_curvatures(curv, member, 0.7 + bump)
+    curv, _ = curvature_matrix(*_random_case(seed % 100))
+    low = affinity_from_curvatures(curv, 0.7)
+    high = affinity_from_curvatures(curv, 0.7 + bump)
     assert (high >= low - 1e-15).all()
 
 

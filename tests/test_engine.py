@@ -27,7 +27,7 @@ from scc.engine import (
 from scc.evaluation import misclassification_rate
 from scc.geometry import Partition, total_ols_error
 
-from oracles import total_scatter
+from oracles import sigma_candidates_masked, total_scatter
 
 
 def test_config_defaults_and_validation():
@@ -90,18 +90,45 @@ def test_sample_initial_is_resampling_within_one_cluster():
         assert np.array_equal(a, b)
 
 
+def _with_members(vec, d, c, rng):
+    """(N, c) curvatures holding ``vec`` column by column, d+1 member entries per column among them, and their mask.
+
+    The matrix ``sigma_candidates`` takes holds +inf at the members; the
+    second, for the masked reference, holds zeros there, as
+    ``curvature_matrix`` returns them.
+    """
+    rows = len(vec) // c + d + 1
+    member = np.zeros((rows, c), dtype=bool)
+    for r in range(c):
+        member[rng.choice(rows, d + 1, replace=False), r] = True
+    curv = np.full((rows, c), np.inf)
+    curv.T[~member.T] = vec
+    return curv, np.where(member, 0.0, curv), member
+
+
+def _assert_selects_like_the_mask(vec, d, k, c, rng):
+    """sigma_candidates of ``vec`` with +inf members equals the masked reference; returns the candidates."""
+    curv, kernel_curv, member = _with_members(vec, d, c, rng)
+    before = curv.copy()
+    cands = sigma_candidates(curv, d, k)
+    assert cands == sigma_candidates_masked(kernel_curv, member, d, k)
+    assert np.array_equal(curv, before)
+    return cands
+
+
 def test_sigma_candidate_positions():
     # length 1000, K=2, d=3: 1-based positions 500, 250, 125, 63 (round half up)
     vec = np.arange(1.0, 1001.0)
-    for order in (vec, np.random.default_rng(1).permutation(vec)):  # input need not be sorted
-        cands = sigma_candidates(order, np.zeros(order.shape, dtype=bool), subspace_dim=3, n_clusters=2)
-        assert cands == [500.0, 250.0, 125.0, 63.0]
+    rng = np.random.default_rng(1)
+    for order in (vec, rng.permutation(vec)):  # input need not be sorted
+        for c in (1, 10, 1000):
+            assert _assert_selects_like_the_mask(order, 3, 2, c, rng) == [500.0, 250.0, 125.0, 63.0]
 
 
 def test_sigma_candidates_single_cluster_all_last():
-    vec = np.sort(np.random.default_rng(2).random(60))
-    cands = sigma_candidates(vec, np.zeros(vec.shape, dtype=bool), subspace_dim=2, n_clusters=1)
-    assert cands == [float(vec[-1])] * 3
+    rng = np.random.default_rng(2)
+    vec = np.sort(rng.random(60))
+    assert _assert_selects_like_the_mask(vec, 2, 1, 3, rng) == [float(vec[-1])] * 3
 
 
 @settings(max_examples=30, deadline=None)
@@ -109,7 +136,7 @@ def test_sigma_candidates_single_cluster_all_last():
 def test_sigma_candidates_nonincreasing(seed, k):
     rng = np.random.default_rng(seed)
     vec = np.sort(rng.random(120))
-    cands = sigma_candidates(vec, np.zeros(vec.shape, dtype=bool), subspace_dim=3, n_clusters=k)
+    cands = _assert_selects_like_the_mask(vec, 3, k, 4, rng)
     assert all(a >= b for a, b in zip(cands, cands[1:]))
 
 
@@ -117,39 +144,26 @@ def test_sigma_candidates_nonincreasing(seed, k):
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_sigma_candidates_are_entries_of_the_fully_sorted_vector(k, d):
     # below length K^(d+1) several q round to one position; the entries hold
-    # ties, zeros and +inf, as the curvatures of exact fits and duplicates do
+    # ties, zeros and +inf, as the curvatures of exact fits and duplicates
+    # do, and so the +inf member entries tie with some of them
     rng = np.random.default_rng(10 * k + d)
     top = k ** (d + 1)
     for length in sorted({1, 2, 3, k, k + 1, top // 2, top - 1, top, top + 1, 3 * top}):
         vec = rng.integers(0, 4, length).astype(float)
         vec[rng.random(length) < 0.2] = np.inf
-        before = vec.copy()
         positions = [min(max(math.floor(length / k**q + 0.5), 1), length) for q in range(1, d + 2)]
-        expected = [float(np.sort(before)[p - 1]) for p in positions]
-        assert sigma_candidates(vec, np.zeros(length, dtype=bool), d, k) == expected
-        assert np.array_equal(vec, before)
-        # the matrix form: the same entries outside the member mask of a
-        # 3-column matrix, with at least 4 member entries scattered among
-        # them that hold the same kinds of values, zeros and +inf included
-        size = 3 * (length // 3 + 2)
-        member = np.zeros(size, dtype=bool)
-        member[rng.choice(size, size - length, replace=False)] = True
-        curv = rng.integers(0, 4, size).astype(float)
-        curv[rng.random(size) < 0.2] = np.inf
-        curv[~member] = vec
-        curv, member = curv.reshape(-1, 3), member.reshape(-1, 3)
-        curv_before, member_before = curv.copy(), member.copy()
-        assert sigma_candidates(curv, member, d, k) == expected
-        assert np.array_equal(curv, curv_before) and np.array_equal(member, member_before)
+        expected = [float(np.sort(vec)[p - 1]) for p in positions]
+        # one column, one entry outside the members per column, and between
+        for c in sorted({1, 2, 3, length}):
+            if length % c == 0:
+                assert _assert_selects_like_the_mask(vec, d, k, c, rng) == expected
 
 
 def test_sigma_candidates_validation():
     with pytest.raises(ValueError):
-        sigma_candidates(np.array([]), np.array([], dtype=bool), 1, 2)
-    with pytest.raises(ValueError):  # every entry a member
-        sigma_candidates(np.ones((2, 3)), np.ones((2, 3), dtype=bool), 1, 2)
-    with pytest.raises(ValueError):  # a mask of another shape
-        sigma_candidates(np.ones((2, 3)), np.zeros((3, 2), dtype=bool), 1, 2)
+        sigma_candidates(np.empty((0, 3)), 1, 2)
+    with pytest.raises(ValueError):  # N <= d+1: every entry a member
+        sigma_candidates(np.ones((2, 3)), 1, 2)
 
 
 def _halves(n=40):
@@ -294,7 +308,8 @@ def test_sweep_replaces_a_zero_candidate_with_the_positive_floor():
     data = np.hstack([np.vstack([t, zeros, zeros]), np.vstack([zeros, t, np.full(20, 5.0)])])
     sets = np.array([[i, i + 1] for i in range(0, 40, 2)])
     curv, member = curvature_matrix(data, sets)
-    assert sigma_candidates(curv, member, 1, 2)[1] == 0.0
+    curv[member] = np.inf
+    assert sigma_candidates(curv, 1, 2)[1] == 0.0
     cfg = SccConfig(subspace_dim=1, n_clusters=2, n_sample_sets=20, seed=0)
     part, sigma_sq, _, err = sweep_and_cluster(data, sets, cfg)
     assert np.isfinite(sigma_sq) and sigma_sq > 0.0
@@ -308,12 +323,13 @@ def test_sweep_computes_the_positive_floor_only_for_a_zero_or_infinite_candidate
     floor, affinity = engine._positive_floor, engine.affinity_from_curvatures
     monkeypatch.setattr(engine, "_positive_floor", lambda curv: floors.append(floor(curv)) or floors[-1])
     monkeypatch.setattr(
-        engine, "affinity_from_curvatures", lambda curv, member, s: sigmas.append(s) or affinity(curv, member, s)
+        engine, "affinity_from_curvatures", lambda curv, s: sigmas.append(s) or affinity(curv, s)
     )
     data, _ = synth_subspace_mixture(SynthSpec(2, 15, subspace_dim=1, ambient_dim=3, noise_sigma=0.05, seed=3))
     sets = sample_initial(data.shape[1], 1, 30, np.random.default_rng(3))
     curv, member = curvature_matrix(data, sets)
-    candidates = sigma_candidates(curv, member, 1, 2)
+    curv[member] = np.inf
+    candidates = sigma_candidates(curv, 1, 2)
     assert all(0.0 < s < math.inf for s in candidates)
     sweep_and_cluster(data, sets, SccConfig(subspace_dim=1, n_clusters=2, n_sample_sets=30, seed=3))
     assert floors == [] and sigmas == candidates
@@ -324,7 +340,8 @@ def test_sweep_computes_the_positive_floor_only_for_a_zero_or_infinite_candidate
     data = np.hstack([np.vstack([t, zeros, zeros]), np.vstack([zeros, t, np.full(20, 5.0)])])
     sets = np.array([[i, i + 1] for i in range(0, 40, 2)])
     curv, member = curvature_matrix(data, sets)
-    candidates = sigma_candidates(curv, member, 1, 2)
+    curv[member] = np.inf
+    candidates = sigma_candidates(curv, 1, 2)
     sigmas.clear()
     sweep_and_cluster(data, sets, SccConfig(subspace_dim=1, n_clusters=2, n_sample_sets=20, seed=0))
     assert len(floors) == 1 and 0.0 < floors[0] < math.inf
@@ -334,15 +351,21 @@ def test_sweep_computes_the_positive_floor_only_for_a_zero_or_infinite_candidate
 def test_sweep_peaks_at_the_curvature_matrix_plus_one_more_array(monkeypatch):
     # perfbench large_n's shape: N = 6000, c = 300, D = 20, d = 3, K = 3, where
     # an (N, c) float array (14.4 MB) outweighs the kernel's 8 MB workspace.
-    # Beside the curvature matrix and its member mask, a sweep holds one more
-    # (N, c) float array: the bandwidth selection's copy, then one affinity at
-    # a time; its k-means batch runs after the matrix and the mask are freed
+    # The kernel's member mask (1.8 MB) is freed before the bandwidth choice;
+    # beside the curvature matrix a sweep then holds one more (N, c) float
+    # array: the bandwidth selection's copy, then one affinity at a time; its
+    # k-means batch runs after the matrix is freed
     data, _ = synth_subspace_mixture(SynthSpec(3, 2000, subspace_dim=3, ambient_dim=20, noise_sigma=0.01, seed=4))
     config = SccConfig(subspace_dim=3, n_clusters=3, n_sample_sets=300, seed=4)
     sets = sample_initial(data.shape[1], 3, 300, np.random.default_rng(4))
     sweep_and_cluster(data, sets, config)  # first-call allocations of numpy and LAPACK
-    held = []  # the bytes the sweep holds as the k-means batch starts
-    kmeans = spectral.kmeans
+    # the bytes the sweep holds as its first affinity is computed and as the k-means batch starts
+    at_affinity, held = [], []
+    affinity, kmeans = engine.affinity_from_curvatures, spectral.kmeans
+    monkeypatch.setattr(
+        engine, "affinity_from_curvatures",
+        lambda *args: at_affinity.append(tracemalloc.get_traced_memory()[0]) or affinity(*args),
+    )
     monkeypatch.setattr(spectral, "kmeans", lambda *args: held.append(tracemalloc.get_traced_memory()[0]) or kmeans(*args))
     tracemalloc.start()
     try:
@@ -354,6 +377,7 @@ def test_sweep_peaks_at_the_curvature_matrix_plus_one_more_array(monkeypatch):
     curv_bytes, member_bytes = 8 * entries, entries
     workspace = 2 * curvature._CHUNK_ENTRIES * 8
     assert peak <= curv_bytes + member_bytes + 8 * entries + workspace + (1 << 20)
+    assert at_affinity[0] <= curv_bytes + (1 << 20)
     assert held[0] < curv_bytes
 
 

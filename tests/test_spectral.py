@@ -62,8 +62,9 @@ def test_two_parallel_lines_recovered_over_seeds():
     data, truth = _parallel_lines(seed=42)
     sets = sample_initial(data.shape[1], 1, 80, np.random.default_rng(7))
     curv, member = curvature_matrix(data, sets)
-    sigma_sq = sigma_candidates(curv, member, 1, 2)[1]
-    aff = affinity_from_curvatures(curv, member, sigma_sq)
+    curv[member] = np.inf
+    sigma_sq = sigma_candidates(curv, 1, 2)[1]
+    aff = affinity_from_curvatures(curv, sigma_sq)
     for seed in range(20):
         [part] = spectral_cluster_factored([aff.copy()], 2, [seed], data=data, subspace_dim=1)
         assert misclassification_rate(part, truth) == 0.0
@@ -275,7 +276,8 @@ def _sweep_affinities(n, c, seed):
     )
     sets = sample_initial(data.shape[1], 2, c, np.random.default_rng(seed))
     curv, member = curvature_matrix(data, sets)
-    return [affinity_from_curvatures(curv, member, s) for s in sigma_candidates(curv, member, 2, 3) if s > 0.0]
+    curv[member] = np.inf
+    return [affinity_from_curvatures(curv, s) for s in sigma_candidates(curv, 2, 3) if s > 0.0]
 
 
 @pytest.mark.parametrize("n, c", [(60, 150), (400, 200), (360, 300)])
