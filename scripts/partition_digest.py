@@ -35,17 +35,11 @@ seed-1 label digests, errors and iteration counts with a committed file.
 
 import argparse
 import hashlib
-import os
 import statistics
 import sys
 import tempfile
 from pathlib import Path
 from typing import Callable, Iterator, NamedTuple
-
-if __name__ == "__main__":
-    # before numpy loads OpenBLAS: a multi-threaded product rounds differently
-    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "GOTO_NUM_THREADS"):
-        os.environ[var] = "1"
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]

@@ -288,7 +288,7 @@ def affinity_from_curvatures(curv: np.ndarray, sigma_sq: float) -> np.ndarray:
     ln(2^-1022) is set to -inf before ``exp``, so no affinity is subnormal:
     subnormal operands make the spectral step's products markedly slower.
     A point whose every affinity underflows so has zero degree, and the
-    spectral step attaches it to the nearest fitted subspace. The result is
+    sweep attaches it to the nearest fitted subspace. The result is
     computed in one (N, c) array.
     """
     if not sigma_sq > 0.0:

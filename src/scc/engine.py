@@ -44,7 +44,7 @@ import numpy as np
 
 from . import seeding
 from .curvature import affinity_from_curvatures, curvature_matrix
-from .geometry import Partition, as_data_matrix, project_pca, total_ols_error
+from .geometry import Partition, as_data_matrix, fit_affine_ols, project_pca, subspace_sq_distances, total_ols_error
 from .spectral import spectral_cluster_factored
 
 # Unused here; kept as engine attributes because perfbench/tracing.py wraps them by name.
@@ -294,6 +294,31 @@ def _affinities(curv: np.ndarray, sigmas: list[float]):
         yield affinity_from_curvatures(curv, sigma_sq)
 
 
+def _attach_isolated(
+    X: np.ndarray, partition: Partition, zero_degree: np.ndarray, subspace_dim: int
+) -> Partition:
+    """The partition with each zero-degree point moved to the cluster whose fitted flat is nearest.
+
+    A zero-degree point has no affinity, so its cluster says nothing about
+    it. Each cluster is fitted at dimension min(d, size - 1) to its members
+    of positive degree, or to all its members when it has none; an empty
+    cluster gets no fit and no point. ``X`` is the validated data.
+    """
+    labels = partition.labels.copy()
+    isolated = np.flatnonzero(zero_degree)
+    dists = np.full((isolated.size, partition.n_clusters), np.inf)
+    for k in range(partition.n_clusters):
+        members = np.flatnonzero((labels == k) & ~zero_degree)
+        if members.size == 0:
+            members = np.flatnonzero(labels == k)
+        if members.size == 0:
+            continue
+        fit = fit_affine_ols(X[:, members], min(subspace_dim, members.size - 1))
+        dists[:, k] = subspace_sq_distances(X[:, isolated], fit)
+    labels[isolated] = dists.argmin(axis=1)
+    return Partition(labels, partition.n_clusters)
+
+
 def sweep_and_cluster(
     data, sample_sets, config: SccConfig, iteration: int = 0
 ) -> tuple[Partition, float, int, float]:
@@ -302,7 +327,9 @@ def sweep_and_cluster(
     Returns (partition, sigma_sq, q, ols_error); ties in the error keep the
     smallest q. ``data`` is used as-is (any projection must already have
     been applied). Raises ValueError unless every sample set holds d+1
-    points.
+    points. A candidate's zero-degree points, which have no affinity, move
+    to the cluster whose fitted flat is nearest (``_attach_isolated``)
+    before its OLS error is computed.
 
     A point inside its own subset makes a tuple with a repeated point, which
     the kernel's duplicate rule scores +inf, so the sweep writes +inf at the
@@ -342,10 +369,12 @@ def sweep_and_cluster(
     # batch allocates
     affinities = _affinities(curv, sigmas)
     del curv
-    partitions = spectral_cluster_factored(affinities, k, seeds, data=X, subspace_dim=d)
+    clustered = spectral_cluster_factored(affinities, k, seeds)
 
     best = None
-    for q, (partition, sigma_sq) in enumerate(zip(partitions, sigmas), start=1):
+    for q, ((partition, zero_degree), sigma_sq) in enumerate(zip(clustered, sigmas), start=1):
+        if zero_degree.any():
+            partition = _attach_isolated(X, partition, zero_degree, d)
         error = total_ols_error(X, partition, d)
         if best is None or error < best[3]:
             best = (partition, float(sigma_sq), q, float(error))

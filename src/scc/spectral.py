@@ -21,11 +21,11 @@ updates every restart's centers each iteration and stops once no label
 moves. Each restart gets the labels a run of its own would (the same
 per-embedding products and row-order sums), and per embedding the restart
 of least cost wins (the earlier on a tie).
-Points with zero degree (all-zero weight rows) get a zero embedding row;
-on the factored path, when the original data and the subspace dimension
-are supplied, they are re-attached afterwards to the cluster whose fitted
-subspace is nearest. The dense solver for an explicit weight matrix is the
-reference the factored path is tested against.
+Points with zero degree (all-zero weight rows) get a zero embedding row,
+and k-means puts them wherever its restarts leave those rows; the factored
+path returns each partition with its zero-degree mask, so that the engine,
+which holds the data, can re-attach them. The dense solver for an explicit
+weight matrix is the reference the factored path is tested against.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import math
 import numpy as np
 
 from . import seeding
-from .geometry import Partition, as_data_matrix, fit_affine_ols, subspace_sq_distances
+from .geometry import Partition
 
 __all__ = ["kmeans", "spectral_cluster", "spectral_cluster_factored"]
 
@@ -187,11 +187,7 @@ def _check_weights(weights) -> np.ndarray:
 
 
 def _embeddings_to_labels(
-    embeddings: list[tuple[np.ndarray, np.ndarray]],
-    n_clusters: int,
-    seeds,
-    data=None,
-    subspace_dim: int | None = None,
+    embeddings: list[tuple[np.ndarray, np.ndarray]], n_clusters: int, seeds
 ) -> list[Partition]:
     """One partition per (embedding, zero-degree mask), from one stacked k-means call."""
     rows = np.empty((len(embeddings),) + embeddings[0][0].shape)
@@ -201,31 +197,7 @@ def _embeddings_to_labels(
         norms = np.linalg.norm(stacked, axis=1)
         positive = norms > 0.0
         stacked[positive] /= norms[positive, None]
-    parts = kmeans(rows, n_clusters, seeds)
-    if data is None:
-        return parts
-    for i, (part, (_, zero_degree)) in enumerate(zip(parts, embeddings)):
-        if zero_degree.any():
-            labels = _attach_isolated(part.labels.copy(), zero_degree, data, subspace_dim, n_clusters)
-            parts[i] = Partition(labels, n_clusters)
-    return parts
-
-
-def _attach_isolated(labels, zero_degree, data, subspace_dim, n_clusters):
-    """Move zero-degree points to the cluster whose fitted subspace is nearest."""
-    X = as_data_matrix(data)
-    isolated = np.flatnonzero(zero_degree)
-    dists = np.full((isolated.size, n_clusters), np.inf)
-    for k in range(n_clusters):
-        members = np.flatnonzero((labels == k) & ~zero_degree)
-        if members.size == 0:
-            members = np.flatnonzero(labels == k)
-        if members.size == 0:
-            continue
-        fit = fit_affine_ols(X[:, members], min(subspace_dim, members.size - 1))
-        dists[:, k] = subspace_sq_distances(X[:, isolated], fit)
-    labels[isolated] = dists.argmin(axis=1)
-    return labels
+    return kmeans(rows, n_clusters, seeds)
 
 
 def _inverse_sqrt_degree(deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -408,13 +380,8 @@ def _factored_embedding(A: np.ndarray, n_clusters: int) -> tuple[np.ndarray, np.
 
 
 def spectral_cluster_factored(
-    affinities,
-    n_clusters: int,
-    seeds,
-    *,
-    data=None,
-    subspace_dim: int | None = None,
-) -> list[Partition]:
+    affinities, n_clusters: int, seeds
+) -> list[tuple[Partition, np.ndarray]]:
     """``spectral_cluster`` on A A^T for each affinity A, without forming the N x N matrix.
 
     ``affinities`` is an iterable of (N, c) affinity factors, one per seed
@@ -432,18 +399,15 @@ def spectral_cluster_factored(
     the top eigenvectors of the min(N, c)-sized small side from the Lanczos
     solver (``_lanczos``), at O(min(N, c)^2) per Krylov row once the small
     side is formed. The embeddings then go through
-    one stacked k-means call, and the result holds one partition per
-    affinity, each what a call on that affinity alone gives. This is the
-    engine's spectral path at every N. ``data`` and ``subspace_dim`` are
-    optional but go together; when given, zero-degree points are re-attached
-    to the nearest fitted subspace instead of being left wherever k-means
-    put their zero embedding rows. Either one alone raises ``ValueError``.
+    one stacked k-means call. The result holds one (partition, zero-degree
+    mask) pair per affinity, each partition what a call on that affinity
+    alone gives; the points the mask marks have no affinity, and k-means
+    left them wherever it put their zero embedding rows. This is the
+    engine's spectral path at every N.
     """
     seeds = list(seeds)
     if n_clusters < 1:
         raise ValueError("n_clusters must be at least 1")
-    if (data is None) != (subspace_dim is None):
-        raise ValueError("data and subspace_dim re-attach zero-degree points together: give both or neither")
     embeddings = []
     for affinity in affinities:
         if len(embeddings) == len(seeds):
@@ -461,4 +425,5 @@ def spectral_cluster_factored(
         del affinity, A  # the next factor is built without this one beside it
     if len(embeddings) != len(seeds) or not embeddings:
         raise ValueError(f"need one seed per affinity, got {len(seeds)} for {len(embeddings)}")
-    return _embeddings_to_labels(embeddings, n_clusters, seeds, data, subspace_dim)
+    parts = _embeddings_to_labels(embeddings, n_clusters, seeds)
+    return [(part, zero_degree) for part, (_, zero_degree) in zip(parts, embeddings)]

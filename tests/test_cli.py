@@ -272,7 +272,7 @@ def test_bench_skips_a_directory_named_like_a_sequence(tmp_path, capsys):
         assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes(), name
 
 
-def test_bench_rejects_a_bad_config_before_starting_workers(tmp_path, monkeypatch):
+def test_bench_rejects_a_bad_config_before_starting_workers(tmp_path, monkeypatch, capsys):
     def no_pool(*args, **kwargs):
         raise AssertionError("a worker pool started")
 
@@ -280,6 +280,10 @@ def test_bench_rejects_a_bad_config_before_starting_workers(tmp_path, monkeypatc
     data_dir = _make_suite(tmp_path)
     # fewer sample sets than clusters: SccConfig's ValueError, exit 3
     assert _run_bench(data_dir, tmp_path / "out", extra=["--workers", "2", "--c", "1"]) == 3
+    assert not (tmp_path / "out").exists()
+    capsys.readouterr()
+    assert _run_bench(data_dir, tmp_path / "out", extra=["--workers", "2", "--repeats", "0"]) == 3
+    assert "error: --repeats must be at least 1" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
@@ -290,14 +294,22 @@ def test_bench_rejects_duplicate_regimes_before_running_a_cell(tmp_path, monkeyp
     monkeypatch.setattr("scc.cli._bench_one", no_cell)
     monkeypatch.setattr("scc.cli.ProcessPoolExecutor", no_cell)
     data_dir = _make_suite(tmp_path)
-    for regimes, named in ((["3,2F", "3,ambient"], "3,2F"), (["3,4k", "3,4K"], "3,4K"), (["4,d+1", "3,4K", "4,D+1"], "4,d+1")):
+    cases = [
+        (["3,2F", "3,ambient"], "repeats 3,2F"),
+        (["3,4k", "3,4K"], "repeats 3,4K"),
+        (["4,d+1", "3,4K", "4,D+1"], "repeats 4,d+1"),
+        # a regime that does not parse fails the same way
+        (["3"], "regime must look like 'd,projection', got '3'"),
+        (["x,4K"], "bad subspace dimension in regime 'x,4K'"),
+    ]
+    for regimes, message in cases:
         for workers in ("1", "2"):
             out_dir = tmp_path / f"out-{regimes[-1]}-{workers}"
             capsys.readouterr()
             args = ["bench", "--data", str(data_dir), "--out", str(out_dir), "--repeats", "1",
                     "--workers", workers, "--regimes", *regimes]
             assert main(args) == 3
-            assert f"repeats {named}" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
             assert not out_dir.exists()
 
 
@@ -506,6 +518,28 @@ def test_report_rejects_a_records_file_without_records(tmp_path, capsys):
     assert main(["report", "--records", str(records), "--out", str(tmp_path / "out")]) == 2
     assert "records.csv:1: no records after the header" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    records.write_text("method,sequence,error_pct\n\"SCC (2,4K)\",s1,1.5\n")
+    assert main(["report", "--records", str(records), "--out", str(tmp_path / "out")]) == 2
+    assert "records.csv:1: records CSV must have columns" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_skips_a_method_and_motion_count_without_records(tmp_path):
+    records = tmp_path / "records.csv"
+    rows = ['"SCC (2,4K)",s1,synthetic,2,1.5,1', '"SCC (3,2F)",t1,synthetic,3,4.0,1']
+    records.write_text("\n".join([_RECORDS_HEADER, *rows]) + "\n")
+    out_dir = tmp_path / "out"
+    assert main(["report", "--records", str(records), "--out", str(out_dir)]) == 0
+    assert sorted(p.name for p in out_dir.glob("hist_*.csv")) == [
+        "hist_SCC2-4K_2motions.csv",
+        "hist_SCC3-2F_3motions.csv",
+    ]
+    with (out_dir / "report.csv").open(newline="") as handle:
+        pairs = {(r["method"], r["motions"]) for r in csv.DictReader(handle)}
+    assert pairs == {("SCC (2,4K)", "2"), ("SCC (3,2F)", "3")}
+    two, three = (out_dir / "report.txt").read_text().split("== 3 motions ==")
+    assert "SCC (2,4K)" in two and "SCC (3,2F)" not in two
+    assert "SCC (3,2F)" in three and "SCC (2,4K)" not in three
 
 
 def test_report_regenerates_from_records(tmp_path):
@@ -593,8 +627,10 @@ def test_published_rows_stay_apart_from_measured_rows(tmp_path):
         ('"SCC (2,4K)",s2,synthetic,2', "expected 6 fields"),
         ('"SCC (2,4K)",s2,synthetic,two,3.5,1', "bad record: invalid literal for int()"),
         ('"SCC (2,4K)",s1,synthetic,2,3.5,1', "second record for 'SCC (2,4K)' on 's1'"),
+        ('"SCC (2,4K)",s2,synthetic,2,100.5,1', "bad record: error_pct must lie in [0, 100]"),
+        ('"SCC (2,4K)",s2,synthetic,2,3.5,0', "bad record: runs must be at least 1"),
     ],
-    ids=["short-row", "bad-motions", "duplicate-pair"],
+    ids=["short-row", "bad-motions", "duplicate-pair", "error-above-100", "no-runs"],
 )
 def test_report_rejects_a_bad_record_with_its_line(tmp_path, capsys, bad_row, message):
     records = tmp_path / "records.csv"

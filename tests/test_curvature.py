@@ -36,6 +36,8 @@ def test_gram_det_degenerate_tuple_is_zero():
     pts = random_flat_tuple(rng, 2, 6, 4)  # 4 points on a 2-flat
     assert simplex_gram_det(pts, 2) <= 1e-10
     assert simplex_gram_det(pts, 2) >= 0.0
+    # 3 edges in R^2 span no 3-simplex: exactly zero, without a QR
+    assert simplex_gram_det(rng.standard_normal((2, 4)), 2) == 0.0
 
 
 def test_gram_det_matches_cayley_menger_oracle():

@@ -94,6 +94,10 @@ def test_n_motions_follows_truth_labels(tmp_path):
     assert load_sequence(tmp_path / "nm.seq").truth_labels.n_clusters == 2
     with pytest.raises(ValueError, match="n_motions"):
         SequenceRecord(**fields, truth_labels=truth, n_motions=3)
+    with pytest.raises(ValueError, match="n_motions must be nonnegative"):
+        SequenceRecord(**fields, n_motions=-1)
+    with pytest.raises(ValueError, match="truth labels do not match the number of points"):
+        SequenceRecord(**fields, truth_labels=Partition(np.array([0, 1, 1]), 2))
     assert SequenceRecord(**fields, n_motions=3).n_motions == 3  # no labels, nothing to check
 
 
@@ -128,6 +132,23 @@ def test_parse_errors_carry_line_numbers(tmp_path, mutate, line_no):
         load_sequence(path)
     assert err.value.line_no == line_no
     assert f":{line_no}:" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mutate, line_no, message",
+    [
+        (lambda lines: [], 1, "empty file"),
+        (lambda lines: [lines[0].replace("F=2", "F=0")] + lines[1:], 1, "frame count must be at least 1"),
+        (lambda lines: [lines[0].replace("N=3", "N=0")] + lines[1:], 1, "point count must be at least 1"),
+        (lambda lines: lines[:1] + ["LABELS 0 x 1"] + lines[1:], 2, "bad label: invalid literal"),
+        (lambda lines: lines[:1] + ["LABELS 0 -1 1"] + lines[1:], 2, "labels must be nonnegative"),
+    ],
+    ids=["empty-file", "no-frames", "no-points", "non-integer-label", "negative-label"],
+)
+def test_header_and_label_errors_name_their_cause(tmp_path, mutate, line_no, message):
+    path = _write(tmp_path, "".join(line + "\n" for line in mutate(MINIMAL.splitlines())))
+    with pytest.raises(SequenceParseError, match=f":{line_no}: {message}"):
+        load_sequence(path)
 
 
 def test_undecodable_bytes_carry_their_line_number(tmp_path):

@@ -45,6 +45,10 @@ def test_config_defaults_and_validation():
         SccConfig(subspace_dim=3, n_clusters=2, seed=-1)
     with pytest.raises(ValueError):
         SccConfig(subspace_dim=3, n_clusters=2, projection="5K")
+    with pytest.raises(ValueError, match="n_clusters must be at least 1"):
+        SccConfig(subspace_dim=3, n_clusters=0)
+    with pytest.raises(ValueError, match="max_iterations must be at least 1"):
+        SccConfig(subspace_dim=3, n_clusters=2, max_iterations=0)
 
 
 def test_projection_dim_resolution():
@@ -80,6 +84,11 @@ def test_sample_initial_deterministic():
 def test_sample_initial_requires_complement():
     with pytest.raises(ValueError):
         sample_initial(4, 3, 5, np.random.default_rng(0))
+    with pytest.raises(ValueError, match="n_sets must be at least 1"):
+        sample_initial(5, 3, 0, np.random.default_rng(0))
+    # resampling needs the same d+2 points
+    with pytest.raises(ValueError, match="not enough points to resample"):
+        resample_within(Partition(np.array([0, 0, 1, 1]), 2), 3, 5, np.random.default_rng(0))
 
 
 def test_sample_initial_is_resampling_within_one_cluster():

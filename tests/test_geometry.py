@@ -68,6 +68,12 @@ def test_fit_errors():
         fit_affine_ols(np.zeros((2, 0)), 1)
     with pytest.raises(ValueError):
         fit_affine_ols(np.array([[np.nan, 1.0]]), 0)
+    # total_ols_error fits the same flats
+    part = Partition(np.array([0, 0, 1]), 2)
+    with pytest.raises(ValueError, match="partition labels do not cover all points"):
+        total_ols_error(np.zeros((2, 4)), part, 1)
+    with pytest.raises(ValueError, match="invalid dimension 3 for ambient dimension 2"):
+        total_ols_error(np.zeros((2, 3)), part, 3)
 
 
 def test_dist_on_subspace_is_zero():
@@ -227,6 +233,14 @@ def test_partition_validation():
         Partition(np.array([0, 1, 2]), 2)
     with pytest.raises(ValueError):
         Partition(np.array([-1, 0]), 2)
+    with pytest.raises(ValueError, match="nonempty 1-D array"):
+        Partition(np.array([[0, 1], [1, 0]]), 2)
+    with pytest.raises(ValueError, match="n_clusters must be at least 1"):
+        Partition(np.array([0, 0]), 0)
+    with pytest.raises(ValueError, match="labels must be integers"):
+        Partition(np.array([0.0, 0.5]), 2)
+    whole = Partition(np.array([0.0, 1.0]), 2)  # integral floats are labels
+    assert whole.labels.dtype == np.int64 and whole.labels.tolist() == [0, 1]
     part = Partition(np.array([0, 0, 1]), 3)
     assert part.sizes().tolist() == [2, 1, 0]
     assert np.flatnonzero(part.sizes() == 0).tolist() == [2]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import scc.engine
 import scc.spectral
 from scc.curvature import affinity_from_curvatures, curvature_matrix, pairwise_weights
 from scc.dataio import SynthSpec, synth_affine_motion, synth_subspace_mixture
@@ -42,7 +43,7 @@ def test_single_cluster():
     rng = np.random.default_rng(0)
     aff = rng.random((9, 4))
     dense = spectral_cluster(pairwise_weights(aff), 1, seed=3)
-    [factored] = spectral_cluster_factored([aff], 1, [3])
+    [(factored, _)] = spectral_cluster_factored([aff], 1, [3])
     for part in (dense, factored):
         assert part.n_clusters == 1
         assert (part.labels == 0).all()
@@ -66,7 +67,7 @@ def test_two_parallel_lines_recovered_over_seeds():
     sigma_sq = sigma_candidates(curv, 1, 2)[1]
     aff = affinity_from_curvatures(curv, sigma_sq)
     for seed in range(20):
-        [part] = spectral_cluster_factored([aff.copy()], 2, [seed], data=data, subspace_dim=1)
+        [(part, _)] = spectral_cluster_factored([aff.copy()], 2, [seed])
         assert misclassification_rate(part, truth) == 0.0
 
 
@@ -76,6 +77,21 @@ def test_spectral_rejects_bad_input():
         spectral_cluster(w, 1, seed=0)
     with pytest.raises(ValueError):
         spectral_cluster(np.eye(3), 4, seed=0)
+    with pytest.raises(ValueError, match="weight matrix must be square"):
+        spectral_cluster(np.ones((2, 3)), 1, seed=0)
+    with pytest.raises(ValueError, match="n_clusters must be at least 1"):
+        spectral_cluster(np.eye(3), 0, seed=0)
+    bad_factored = [
+        (([np.ones((6, 4))], 0, [0]), "n_clusters must be at least 1"),
+        (([np.ones(6)], 2, [0]), "affinity must be a 2-D matrix"),
+        (([np.ones((2, 4))], 3, [0]), "cannot split 2 points into 3 clusters"),
+        (([np.ones((6, 4)), np.ones((5, 4))], 2, [0, 1]), "every affinity must have the same number of rows"),
+        (([np.ones((6, 4))], 2, [0, 1]), "need one seed per affinity, got 2 for 1"),
+        (([], 2, []), "need one seed per affinity, got 0 for 0"),
+    ]
+    for args, message in bad_factored:
+        with pytest.raises(ValueError, match=message):
+            spectral_cluster_factored(*args)
 
 
 def test_spectral_deterministic():
@@ -85,9 +101,9 @@ def test_spectral_deterministic():
     a = spectral_cluster(w, 3, seed=11)
     b = spectral_cluster(w, 3, seed=11)
     assert np.array_equal(a.labels, b.labels)
-    [c] = spectral_cluster_factored([aff.copy()], 3, [11])
+    [(c, _)] = spectral_cluster_factored([aff.copy()], 3, [11])
     aff.flags.writeable = False  # a read-only factor is copied, not overwritten
-    [d] = spectral_cluster_factored([aff], 3, [11])
+    [(d, _)] = spectral_cluster_factored([aff], 3, [11])
     assert np.array_equal(c.labels, d.labels)
 
 
@@ -106,8 +122,8 @@ def test_spectral_invariant_under_point_permutation():
     # the factored path: block indicators plus a 0.1 column give the same
     # blocks and background, with 1.01 on the diagonal
     aff = np.hstack([np.eye(3)[labels], np.full((sum(sizes), 1), 0.1)])
-    [base] = spectral_cluster_factored([aff.copy()], 3, [2])
-    [permuted] = spectral_cluster_factored([aff[perm]], 3, [2])
+    [(base, _)] = spectral_cluster_factored([aff.copy()], 3, [2])
+    [(permuted, _)] = spectral_cluster_factored([aff[perm]], 3, [2])
     assert misclassification_rate(
         Partition(permuted.labels, 3), Partition(base.labels[perm], 3)
     ) == 0.0
@@ -120,8 +136,8 @@ def test_spectral_invariant_under_scaling():
     base = spectral_cluster(w, 2, seed=4)
     scaled = spectral_cluster(7.3 * w, 2, seed=4)
     assert np.array_equal(base.labels, scaled.labels)
-    [base] = spectral_cluster_factored([aff.copy()], 2, [4])
-    [scaled] = spectral_cluster_factored([7.3 * aff], 2, [4])
+    [(base, _)] = spectral_cluster_factored([aff.copy()], 2, [4])
+    [(scaled, _)] = spectral_cluster_factored([7.3 * aff], 2, [4])
     assert np.array_equal(base.labels, scaled.labels)
 
 
@@ -135,7 +151,9 @@ def test_zero_degree_points_attach_to_nearest_subspace():
     assert (w.sum(axis=1)[8:10] == 0.0).all()
     # k-means alone puts their zero embedding rows with line two on seed 3
     for seed in range(5):
-        [part] = spectral_cluster_factored([aff.copy()], 2, [seed], data=data, subspace_dim=1)
+        [(part, zero_degree)] = spectral_cluster_factored([aff.copy()], 2, [seed])
+        assert np.array_equal(np.flatnonzero(zero_degree), [8, 9])
+        part = scc.engine._attach_isolated(data, part, zero_degree, 1)
         # points 8 and 9 have no affinity at all but sit on line one
         assert part.labels[8] == part.labels[0]
         assert part.labels[9] == part.labels[0]
@@ -146,12 +164,13 @@ def test_cluster_of_only_zero_degree_points_fits_its_own_members():
     aff = np.zeros((20, 5))
     aff[:10, :] = 1.0  # line one; no point of line two has any affinity
     for seed in range(5):
-        [plain] = spectral_cluster_factored([aff.copy()], 2, [seed])
+        [(plain, zero_degree)] = spectral_cluster_factored([aff.copy()], 2, [seed])
+        assert np.array_equal(zero_degree, truth.labels == 1)
         # k-means puts the zero rows of line two in a cluster of their own
         assert misclassification_rate(plain, truth) == 0.0
         # that cluster has no positive-degree member, so its subspace is fitted
         # to its zero-degree points, and they stay there
-        [part] = spectral_cluster_factored([aff.copy()], 2, [seed], data=data, subspace_dim=1)
+        part = scc.engine._attach_isolated(data, plain, zero_degree, 1)
         assert misclassification_rate(part, truth) == 0.0
 
 
@@ -162,17 +181,29 @@ def test_empty_cluster_takes_no_zero_degree_point():
     labels = truth.labels.copy()
     labels[zero_degree] = 0  # where k-means could leave zero embedding rows
     # cluster 2 has no member at all: it gets no fit and no point
-    attached = scc.spectral._attach_isolated(labels, zero_degree, data, 1, 3)
-    assert np.array_equal(attached, truth.labels)
+    attached = scc.engine._attach_isolated(data, Partition(labels, 3), zero_degree, 1)
+    assert np.array_equal(attached.labels, truth.labels)
 
 
-def test_factored_reattachment_needs_data_and_subspace_dim_together():
-    data, _ = _parallel_lines(seed=1, n_per_line=10)
-    aff = np.ones((20, 5))
-    with pytest.raises(ValueError, match="both or neither"):
-        spectral_cluster_factored([aff], 2, [0], data=data)
-    with pytest.raises(ValueError, match="both or neither"):
-        spectral_cluster_factored([aff], 2, [0], subspace_dim=1)
+def test_sweep_attaches_zero_degree_points(monkeypatch):
+    data, truth = _parallel_lines(seed=42)
+    data = np.hstack([data, [[1.0], [-100.0]]])  # far below line one: no affinity to any subset
+    sets = sample_initial(data.shape[1], 1, 80, np.random.default_rng(7))
+    masks = []
+
+    def recording(*args):
+        pairs = spectral_cluster_factored(*args)
+        masks.extend(zero_degree for _, zero_degree in pairs)
+        return pairs
+
+    monkeypatch.setattr(scc.engine, "spectral_cluster_factored", recording)
+    # k-means alone puts the point's zero embedding row with line two on these seeds
+    for seed in (3, 4, 5):
+        config = SccConfig(subspace_dim=1, n_clusters=2, n_sample_sets=80, seed=seed)
+        partition = scc.engine.sweep_and_cluster(data, sets, config)[0]
+        assert misclassification_rate(Partition(partition.labels[:-1], 2), truth) == 0.0
+        assert partition.labels[-1] == partition.labels[0]
+    assert len(masks) == 6 and all(np.array_equal(np.flatnonzero(mask), [40]) for mask in masks)
 
 
 def test_factored_raises_for_a_factor_without_a_seed_before_reading_it():
@@ -192,14 +223,14 @@ def test_factored_matches_dense():
     for shape in ((40, 10), (10, 40), (25, 25)):
         aff = rng.random(shape)
         dense = spectral_cluster(pairwise_weights(aff), 3, seed=8)
-        [factored] = spectral_cluster_factored([aff], 3, [8])
+        [(factored, _)] = spectral_cluster_factored([aff], 3, [8])
         assert misclassification_rate(factored, dense) == 0.0
     # several affinities in one call: each gets the partition a call of its own gives
     affs = [rng.random((30, 12)) for _ in range(3)]
     together = spectral_cluster_factored(iter([aff.copy() for aff in affs]), 3, [1, 2, 3])
     assert len(together) == 3
-    for aff, seed, part in zip(affs, [1, 2, 3], together):
-        assert np.array_equal(part.labels, spectral_cluster_factored([aff], 3, [seed])[0].labels)
+    for aff, seed, (part, _) in zip(affs, [1, 2, 3], together):
+        assert np.array_equal(part.labels, spectral_cluster_factored([aff], 3, [seed])[0][0].labels)
     # rank(B) < K on either side (two nonzero columns), and K > c
     degenerate = (
         np.hstack([rng.random((30, 2)), np.zeros((30, 6))]),
@@ -211,8 +242,8 @@ def test_factored_matches_dense():
         assert vecs.shape == (aff.shape[0], 3) and not zero_degree.any()
         assert np.isfinite(vecs).all()
         assert not vecs[:, 0].any()  # the direction B does not span embeds as zeros
-        [first] = spectral_cluster_factored([aff.copy()], 3, [8])
-        [again] = spectral_cluster_factored(iter([aff]), 3, [8])
+        [(first, _)] = spectral_cluster_factored([aff.copy()], 3, [8])
+        [(again, _)] = spectral_cluster_factored(iter([aff]), 3, [8])
         assert first.n_clusters == 3 and np.array_equal(first.labels, again.labels)
 
 
