@@ -111,6 +111,8 @@ def cmd_cluster(args) -> None:
         "projection": config.projection,
         "working_dim": result.working_dim,
         "seed": args.seed,
+        "n_sample_sets": config.sample_set_count,
+        "max_iterations": config.iteration_limit,
         "ols_error": result.ols_error,
         "sigma_sq": result.sigma_sq_chosen,
         "q": result.q_chosen,

@@ -36,11 +36,11 @@ import contextlib
 import ctypes
 import functools
 import math
-import re
 import threading
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from . import seeding
 from .curvature import affinity_from_curvatures, curvature_matrix
@@ -71,7 +71,9 @@ _IMPROVEMENT_TOL = 1e-6
 # consecutive iterations without an improvement that end a run
 _PATIENCE = 3
 
-# numpy's and scipy's wheels prefix their OpenBLAS symbols with scipy_openblas_
+# numpy's wheels prefix their OpenBLAS symbols with scipy_openblas_ where a
+# system OpenBLAS has openblas_, and either suffixes them with 64_ when it
+# takes 64-bit integers
 _OPENBLAS_THREAD_SYMBOLS = [
     (f"{prefix}get_num_threads{suffix}", f"{prefix}set_num_threads{suffix}")
     for prefix in ("scipy_openblas_", "openblas_")
@@ -382,51 +384,47 @@ def sweep_and_cluster(
 
 
 @functools.cache
-def _blas_thread_controls() -> tuple:
-    """The (get, set) thread-count functions of each OpenBLAS in this process.
+def _blas_thread_controls():
+    """The (get, set) thread-count functions of numpy's OpenBLAS, or None.
 
-    The lookup runs once, at the first call, and finds every OpenBLAS
-    mapped then (numpy's, and any other library's, such as scipy's, each
-    with its own thread pool); it serves the process and any worker forked
-    after it. scc computes only through numpy's, so an OpenBLAS that loads
-    later, with a later scipy import, does not touch a run. Empty without
-    /proc/self/maps or an OpenBLAS.
+    The symbols are looked up on numpy's linalg extension module, and a
+    lookup on a loaded library also searches the libraries it links: numpy's
+    BLAS, which numpy's matmul calls too. So the pin reaches the only BLAS scc
+    computes through and no other library's thread pool (scipy's OpenBLAS
+    has its own), and the result does not depend on what was imported
+    before. None when numpy's BLAS is not an OpenBLAS. The lookup runs once,
+    at the first call, and serves the process and any worker forked after it.
     """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as handle:
-            maps = handle.read()
-    except OSError:
-        return ()
-    controls = []
-    for path in sorted(set(re.findall(r"(/\S*openblas\S*\.so\S*)", maps))):
-        lib = ctypes.CDLL(path)
-        for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
-            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
-            if get is not None and set_ is not None:
-                get.argtypes, get.restype = [], ctypes.c_int
-                set_.argtypes, set_.restype = [ctypes.c_int], None
-                controls.append((get, set_))
-                break
-    return tuple(controls)
+    lib = ctypes.CDLL(_umath_linalg.__file__)
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_ is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            return get, set_
+    return None
 
 
 @contextlib.contextmanager
 def _one_blas_thread():
-    """Run the body on one OpenBLAS thread, then restore the previous counts.
+    """Run the body on one thread of numpy's OpenBLAS, then restore the previous count.
 
-    The counts are process-wide, so the lock keeps concurrent callers from
-    interleaving their saves and restores.
+    The count is process-wide, so the lock keeps concurrent callers from
+    interleaving their saves and restores; without an OpenBLAS to pin, the
+    body still runs under the lock.
     """
     controls = _blas_thread_controls()
     with _BLAS_PIN_LOCK:
-        previous = [get() for get, _ in controls]
-        for _, set_threads in controls:
-            set_threads(1)
+        if controls is None:
+            yield
+            return
+        get, set_threads = controls
+        previous = get()
+        set_threads(1)
         try:
             yield
         finally:
-            for (_, set_threads), count in zip(controls, previous):
-                set_threads(count)
+            set_threads(previous)
 
 
 def check_shape(config: SccConfig, shape) -> int:
@@ -450,9 +448,11 @@ def check_shape(config: SccConfig, shape) -> int:
 def scc_run(data, config: SccConfig) -> SccResult:
     """Run the full clustering pipeline on a (D, N) data matrix.
 
-    The run computes on one OpenBLAS thread and then restores the caller's
-    counts: a multi-threaded OpenBLAS rounds its sums differently, which can
-    tip a near-tie into another partition. Concurrent calls run one at a time.
+    The run computes on one thread of numpy's OpenBLAS and then restores the
+    caller's count: a multi-threaded OpenBLAS rounds its sums differently,
+    which can tip a near-tie into another partition. Other libraries' thread
+    pools, such as scipy's OpenBLAS, keep their counts. Concurrent calls run
+    one at a time.
     Raises ValueError when ``check_shape`` rejects the data's shape, and
     when every point of the working data (the data after the projection)
     coincides, since no partition of it means anything.

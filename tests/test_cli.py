@@ -9,12 +9,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg  # noqa: F401  (maps scipy's OpenBLAS before any test looks the libraries up)
 
 import scc.cli
 from scc.cli import main
 from scc.dataio import SynthSpec, load_sequence, save_sequence, synth_affine_motion
-from scc.engine import _blas_thread_controls, sweep_and_cluster
+from scc.engine import SccConfig, _blas_thread_controls, scc_run, sweep_and_cluster
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 _RECORDS_HEADER = "method,sequence,category,motions,error_pct,runs"
@@ -90,6 +89,22 @@ def test_cluster_diagnostics_say_why_the_run_stopped(tmp_path):
         reasons[max_iterations] = (diag["stop_reason"], diag["iterations"])
     # a noiseless run finds its partition at once and stops when the next iteration returns it
     assert reasons == {"1": ("limit", 1), "10": ("repeat", 2)}
+
+
+def test_cluster_diagnostics_replay_the_run(tmp_path):
+    seq = _synth(tmp_path, "r.seq", mode="motion", K=2, N=30, F=10, noise=0.01, seed=8)
+    labels_path = tmp_path / "r.txt"
+    assert main(
+        ["cluster", "--in", str(seq), "--d", "3", "--K", "2", "--proj", "d+1", "--seed", "3",
+         "--c", "50", "--out", str(labels_path)]
+    ) == 0
+    diag = json.loads((tmp_path / "r.txt.jsonl").read_text())
+    assert (diag["n_sample_sets"], diag["max_iterations"]) == (50, 10)
+    fields = ("subspace_dim", "n_clusters", "n_sample_sets", "max_iterations", "seed", "projection")
+    config = SccConfig(**{name: diag[name] for name in fields})
+    result = scc_run(load_sequence(seq).trajectories, config)
+    labels = " ".join(str(int(v)) for v in result.partition.labels) + "\n"
+    assert labels == labels_path.read_text()
 
 
 def test_cluster_projection_flag_controls_working_dim(tmp_path):
@@ -382,20 +397,59 @@ def test_bench_rejects_fewer_than_one_worker(tmp_path):
         assert not (tmp_path / f"out{workers}").exists()
 
 
+def _pins():
+    """numpy's OpenBLAS (get, set) pair as a list of one, or an empty list."""
+    controls = _blas_thread_controls()
+    return [controls] if controls is not None else []
+
+
 def _thread_counts(controls):
     return [get() for get, _ in controls]
 
 
-def test_blas_thread_controls_find_every_openblas():
+def test_blas_thread_controls_find_numpys_openblas():
     # a renamed wheel symbol would otherwise turn the pin into a silent no-op
-    configs = [np.show_config(mode="dicts"), scipy.show_config(mode="dicts")]
-    blas = [config["Build Dependencies"]["blas"] for config in configs]
-    libraries = {b["lib directory"] for b in blas if "openblas" in b["name"].lower()}
-    assert len(_blas_thread_controls()) == len(libraries)
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert (_blas_thread_controls() is not None) == ("openblas" in blas["name"].lower())
+
+
+_LOOKUP_ORDER_SCRIPT = """
+import ctypes, sys
+if sys.argv[1] == "before":
+    import scipy.linalg
+from scc.engine import _blas_thread_controls
+get, set_threads = _blas_thread_controls()
+import scipy.linalg
+
+class DlInfo(ctypes.Structure):
+    _fields_ = [("fname", ctypes.c_char_p), ("fbase", ctypes.c_void_p),
+                ("sname", ctypes.c_char_p), ("saddr", ctypes.c_void_p)]
+
+info = DlInfo()
+assert ctypes.CDLL(None).dladdr(ctypes.cast(get, ctypes.c_void_p), ctypes.byref(info))
+print(info.fname.decode())
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads the library through glibc's dladdr")
+def test_blas_thread_controls_do_not_depend_on_import_order():
+    if _blas_thread_controls() is None:
+        pytest.skip("numpy's BLAS is not an OpenBLAS")
+    libraries = []
+    for order in ("before", "after"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _LOOKUP_ORDER_SCRIPT, order],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=SRC),
+        )
+        assert proc.returncode == 0, proc.stderr
+        libraries.append(proc.stdout.strip())
+    # one library, numpy's, whether scipy's OpenBLAS was mapped before the lookup or not
+    assert libraries[0] == libraries[1]
+    assert "openblas" in Path(libraries[0]).name.lower()
 
 
 def test_bench_pins_cells_to_one_blas_thread(tmp_path, monkeypatch):
-    controls = _blas_thread_controls()
+    controls = _pins()
     previous = _thread_counts(controls)
     for _, set_threads in controls:
         set_threads(2)

@@ -52,6 +52,9 @@ def test_gram_det_matches_cayley_menger_oracle():
 def test_gram_det_wrong_tuple_size():
     with pytest.raises(ValueError):
         simplex_gram_det(TRIANGLE, 2)
+    for score in (simplex_gram_det, polar_curvature_sq):
+        with pytest.raises(ValueError, match="flat dimension must be nonnegative"):
+            score(np.zeros((2, 1)), -1)
 
 
 def test_polar_curvature_triangle_hand_value():
@@ -271,6 +274,8 @@ def test_sample_set_validation():
         validate_sample_sets(np.array([[0, 1, 9]]), 5)
     with pytest.raises(ValueError):
         validate_sample_sets(np.array([[0.5, 1.0]]), 5)
+    with pytest.raises(ValueError, match=r"must be a \(c, d\+1\) array"):
+        validate_sample_sets(np.arange(3), 5)
 
 
 def test_affinity_member_entries_are_zero(monkeypatch):
@@ -345,6 +350,8 @@ def test_affinity_monotone_in_sigma(seed, bump):
 
 def test_weights_trivial_cases():
     assert (pairwise_weights(np.zeros((4, 3))) == 0.0).all()
+    with pytest.raises(ValueError, match="affinity must be a 2-D matrix"):
+        pairwise_weights(np.ones(3))
     single = np.zeros((4, 3))
     single[2, 1] = 0.7
     w = pairwise_weights(single)

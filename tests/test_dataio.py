@@ -312,3 +312,7 @@ def test_synth_spec_validation():
         SynthSpec(n_clusters=1, points_per_cluster=10, noise_sigma=-0.1)
     with pytest.raises(ValueError):
         SynthSpec(n_clusters=1, points_per_cluster=10, noise_sigma=float("nan"))
+    with pytest.raises(ValueError, match="subspace_dim must be at least 1"):
+        SynthSpec(2, 10, subspace_dim=0)
+    with pytest.raises(ValueError, match="seed must be nonnegative"):
+        SynthSpec(2, 10, seed=-1)

@@ -1,4 +1,5 @@
 import contextlib
+import ctypes
 import itertools
 import math
 import sys
@@ -15,6 +16,7 @@ from scc import curvature, engine, spectral
 from scc.curvature import curvature_matrix
 from scc.dataio import SynthSpec, synth_subspace_mixture
 from scc.engine import (
+    _OPENBLAS_THREAD_SYMBOLS,
     SccConfig,
     _blas_thread_controls,
     _first_occurrence_labels,
@@ -641,20 +643,26 @@ def test_scc_run_numbers_its_labels_in_order_of_first_occurrence():
             assert np.array_equal(labels, _first_occurrence_labels(labels)), (projection, seed)
 
 
+def _pins():
+    """numpy's OpenBLAS (get, set) pair as a list of one, or an empty list."""
+    controls = _blas_thread_controls()
+    return [controls] if controls is not None else []
+
+
 def _blas_counts():
-    return [get() for get, _ in _blas_thread_controls()]
+    return [get() for get, _ in _pins()]
 
 
 @contextlib.contextmanager
 def _blas_threads(count):
-    """Set every OpenBLAS in the process to ``count`` threads, then restore."""
+    """Set numpy's OpenBLAS to ``count`` threads, then restore."""
     previous = _blas_counts()
-    for _, set_threads in _blas_thread_controls():
+    for _, set_threads in _pins():
         set_threads(count)
     try:
         yield
     finally:
-        for (_, set_threads), old in zip(_blas_thread_controls(), previous):
+        for (_, set_threads), old in zip(_pins(), previous):
             set_threads(old)
 
 
@@ -682,7 +690,7 @@ def test_scc_run_computes_on_one_blas_thread_and_restores_the_counts(monkeypatch
     data, config = _pin_case()
     with _blas_threads(1):
         expected = scc_run(data, config).partition.labels
-    ones = [1] * len(_blas_thread_controls())
+    ones = [1] * len(_pins())
     with _blas_threads(2):
         seen = []
         _spy_on_sweeps(monkeypatch, seen)
@@ -699,10 +707,57 @@ def test_scc_run_computes_on_one_blas_thread_and_restores_the_counts(monkeypatch
         assert _blas_counts() == [2] * len(ones)
 
 
+def test_scc_run_runs_unpinned_without_an_openblas(monkeypatch):
+    # numpy built on another BLAS: nothing to pin, and the run is unchanged
+    data, config = _pin_case()
+    expected = scc_run(data, config).partition.labels
+    monkeypatch.setattr(engine, "_blas_thread_controls", lambda: None)
+    assert np.array_equal(scc_run(data, config).partition.labels, expected)
+
+
+def _scipy_blas_controls():
+    """scipy's OpenBLAS (get, set) pair, read through scipy's own BLAS module."""
+    import scipy.linalg
+
+    lib = ctypes.CDLL(scipy.linalg._fblas.__file__)
+    for get_name, set_name in _OPENBLAS_THREAD_SYMBOLS:
+        get, set_threads = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and set_threads is not None:
+            get.restype = ctypes.c_int
+            set_threads.argtypes = [ctypes.c_int]
+            return get, set_threads
+    pytest.skip("scipy's BLAS is not an OpenBLAS")
+
+
+def test_scc_run_leaves_other_openblas_pools_alone(monkeypatch):
+    numpy_pins = _pins()
+    get_scipy, set_scipy = _scipy_blas_controls()
+    scipy_address = ctypes.cast(get_scipy, ctypes.c_void_p).value
+    if any(ctypes.cast(get, ctypes.c_void_p).value == scipy_address for get, _ in numpy_pins):
+        pytest.skip("numpy and scipy share one OpenBLAS")
+    data, config = _pin_case()
+    previous = get_scipy()
+    set_scipy(2)
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append((_blas_counts(), get_scipy()))
+        return sweep_and_cluster(*args, **kwargs)
+
+    monkeypatch.setattr("scc.engine.sweep_and_cluster", spy)
+    try:
+        with _blas_threads(2):
+            scc_run(data, config)
+    finally:
+        set_scipy(previous)
+    # numpy's pool computes on one thread; scipy's keeps the caller's two
+    assert seen and all(counts == ([1] * len(numpy_pins), 2) for counts in seen)
+
+
 def test_concurrent_scc_runs_match_sequential_runs(monkeypatch):
     cases = [_pin_case(seed) for seed in (1, 2)]
     expected = [scc_run(data, config).partition.labels for data, config in cases]
-    ones = [1] * len(_blas_thread_controls())
+    ones = [1] * len(_pins())
     seen = []
     _spy_on_sweeps(monkeypatch, seen)
     labels = [None] * len(cases)

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from scc.geometry import (
     AffineSubspace,
     Partition,
+    as_data_matrix,
     fit_affine_ols,
     project_pca,
     subspace_sq_distances,
@@ -68,6 +69,10 @@ def test_fit_errors():
         fit_affine_ols(np.zeros((2, 0)), 1)
     with pytest.raises(ValueError):
         fit_affine_ols(np.array([[np.nan, 1.0]]), 0)
+    with pytest.raises(ValueError, match="subspace dimension must be nonnegative"):
+        fit_affine_ols(np.ones((2, 3)), -1)
+    with pytest.raises(ValueError, match="data matrix must be 2-D"):
+        as_data_matrix(np.ones(3))
     # total_ols_error fits the same flats
     part = Partition(np.array([0, 0, 1]), 2)
     with pytest.raises(ValueError, match="partition labels do not cover all points"):
@@ -226,6 +231,10 @@ def test_affine_subspace_validation():
         AffineSubspace(np.zeros(2), np.array([[1.0], [1.0]]))  # not orthonormal
     with pytest.raises(ValueError):
         AffineSubspace(np.zeros(2), np.ones((3, 1)))  # ambient mismatch
+    with pytest.raises(ValueError, match="origin must be a nonempty vector"):
+        AffineSubspace(np.zeros(0), np.zeros((0, 0)))
+    with pytest.raises(ValueError, match="subspace dimension exceeds ambient dimension"):
+        AffineSubspace(np.zeros(2), np.zeros((2, 3)))
 
 
 def test_partition_validation():
